@@ -13,7 +13,11 @@
 //!   scheme), exercising the masked-kernel and tissue-slot scratch;
 //! * `gru_baseline` — the three-gate GRU plan;
 //! * `batch8_serve` — eight sequences in lockstep through
-//!   [`BatchRuntime`], the serve engine's gang path.
+//!   [`BatchRuntime`], the serve engine's gang path;
+//! * `batch_varying_gang` — the same runtime warmed at a gang of eight,
+//!   then cycling gangs of 4/1/3/2/8 per run, as a serve engine does when
+//!   requests join and leave: shrinking and regrowing the gang must reuse
+//!   the high-water scratch.
 //!
 //! Results go to `BENCH_alloc.json` at the repo root. With `--check` the
 //! process instead exits non-zero if any steady-state run allocates —
@@ -64,6 +68,8 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 const STEADY_RUNS: u64 = 5;
 /// Warmup runs sizing every recycled buffer before counting starts.
 const WARMUP_RUNS: usize = 2;
+/// Gang sizes one `batch_varying_gang` run cycles through.
+const GANG_CYCLE: [usize; 5] = [4, 1, 3, 2, 8];
 
 /// One audited path's numbers.
 struct Audit {
@@ -93,7 +99,7 @@ fn audit(path: &'static str, seq_len: usize, run: impl FnMut()) -> Audit {
         allocs_per_step: steady_allocs as f64 / (STEADY_RUNS as f64 * seq_len as f64),
     };
     println!(
-        "{:>14}: {} allocs over {} steady runs x {} steps ({:.4}/step)",
+        "{:>18}: {} allocs over {} steady runs x {} steps ({:.4}/step)",
         audit.path,
         audit.steady_allocs,
         STEADY_RUNS,
@@ -162,6 +168,20 @@ fn main() {
         let mut outs = Vec::new();
         audits.push(audit("batch8_serve", xs.len(), || {
             runtime.run_lstm_batch_into(&plan, &net, &seqs, &mut NullSink, &mut outs);
+        }));
+    }
+
+    {
+        let plan = ExecutionPlan::compile_baseline(&net, xs.len(), &device);
+        let mut runtime = BatchRuntime::new();
+        let mut outs = Vec::new();
+        runtime.run_lstm_batch_into(&plan, &net, &seqs, &mut NullSink, &mut outs);
+        // One run is a whole cycle: every gang steps through the sequence.
+        let steps = GANG_CYCLE.len() * xs.len();
+        audits.push(audit("batch_varying_gang", steps, || {
+            for gang in GANG_CYCLE {
+                runtime.run_lstm_batch_into(&plan, &net, &seqs[..gang], &mut NullSink, &mut outs);
+            }
         }));
     }
 

@@ -1,4 +1,4 @@
-//! Cross-request batched plan execution.
+//! The LSTM plan executor, for a gang of one or more sequences.
 //!
 //! The paper's diagnosis (Fig. 4/6) is that mobile-GPU LSTM inference is
 //! DRAM-bound on *weight* reloads; tissues and Dynamic Row Skip attack
@@ -9,27 +9,30 @@
 //! and E-PUR's weight-reuse argument).
 //!
 //! [`BatchRuntime`] executes one compiled [`ExecutionPlan`] on B
-//! sequences at once. The numeric path calls exactly the same
-//! per-sequence functions in the same per-sequence order as
-//! [`PlanRuntime`](crate::plan::PlanRuntime) — sequences are independent,
-//! so interchanging the timestep and sequence loops cannot change any
-//! value — which makes every per-sequence output **bit-identical** to
-//! running that sequence alone. Batching changes only the emitted kernel
-//! stream: one batched kernel per planned kernel, priced by
-//! [`batch_kernel`] with amortized weight traffic.
+//! sequences at once, and it is the *only* executor of the LSTM layer
+//! bodies ([`LayerBody::Baseline`], [`LayerBody::Drs`],
+//! [`LayerBody::Tissues`]): [`PlanRuntime`](crate::plan::PlanRuntime)'s
+//! LSTM entry points run a gang of one through it. Sequences are
+//! independent and every per-sequence function is called in the same
+//! per-sequence order whatever the gang size, so interchanging the
+//! timestep and sequence loops cannot change any value — every
+//! per-sequence output is **bit-identical** to running that sequence
+//! alone. Batching changes only the emitted kernel stream: one batched
+//! kernel per planned kernel, priced by [`batch_kernel`] with amortized
+//! weight traffic. A gang of one emits the planned kernels themselves.
 
 use crate::cell::{CellWeights, GatePreacts};
 use crate::drs::{skip_fraction, trivial_row_mask_into};
 use crate::network::LstmNetwork;
 use crate::plan::{
-    ExecutionPlan, KernelSink, LayerBody, PlanBody, PlanOutput, PrevSource, SkipStats,
-    TissueKernels,
+    ExecutionPlan, KernelSink, LayerBody, NullSink, PlanBody, PlanOutput, PrevSource, SkipStats,
+    TissueKernels, TissuePlan,
 };
 use crate::regions::NetworkRegions;
 use crate::workspace::Workspace;
-use gpu_sim::{KernelDesc, KernelKind, SpanTag};
+use gpu_sim::{KernelDesc, KernelKind, RegionId, SpanTag};
 use std::fmt::Write as _;
-use std::mem;
+use std::{mem, slice};
 use tensor::{Precision, Vector};
 
 /// Derives the batched form of a planned kernel serving `batch`
@@ -93,24 +96,68 @@ fn push_batch_suffix(label: &mut String, batch: usize) {
     let _ = write!(label, " xB{batch}");
 }
 
-/// Tags a span with the batch size when there is an actual batch.
-fn tag_b(tag: SpanTag, batch: usize) -> SpanTag {
-    if batch > 1 {
-        tag.with_batch(batch)
-    } else {
-        tag
+/// Grows `v` to at least `n` entries and returns its first `n`. Scratch
+/// sized by a varying count (gang size, tissue size) keeps its high-water
+/// entries instead of dropping and rebuilding them when the count shrinks
+/// and grows again.
+fn high_water<T>(v: &mut Vec<T>, n: usize, fill: impl FnMut() -> T) -> &mut [T] {
+    if v.len() < n {
+        v.resize_with(n, fill);
+    }
+    &mut v[..n]
+}
+
+/// The sink as a gang of `b` sequences sees it: every planned kernel is
+/// launched once for the whole gang.
+struct GangSink<'a, K> {
+    sink: &'a mut K,
+    b: usize,
+    regions: &'a NetworkRegions,
+    /// Recycled descriptor the batched forms are written into.
+    batched: &'a mut KernelDesc,
+}
+
+impl<K: KernelSink> GangSink<'_, K> {
+    /// Announces a plan phase, carrying the batch size when there is an
+    /// actual batch.
+    fn tag(&mut self, tag: SpanTag) {
+        let tag = if self.b > 1 {
+            tag.with_batch(self.b)
+        } else {
+            tag
+        };
+        self.sink.tag(tag);
+    }
+
+    /// Launches a planned kernel for the gang: the planned descriptor
+    /// itself for a gang of one (no copy), else its batched form.
+    fn emit(&mut self, desc: &KernelDesc) {
+        if self.b == 1 {
+            self.sink.emit(desc);
+        } else {
+            batch_kernel_into(desc, self.b, self.regions, self.batched);
+            self.sink.emit(self.batched);
+        }
+    }
+
+    /// Launches a masked kernel already priced over the whole gang's
+    /// masks, labelling it with the batch size when there is a batch.
+    fn emit_masked(&mut self, desc: &mut KernelDesc) {
+        if self.b > 1 {
+            push_batch_suffix(&mut desc.label, self.b);
+        }
+        self.sink.emit(desc);
     }
 }
 
-/// The batched runtime's shared (cross-sequence) recycled scratch: the
-/// concatenated mask list a batched masked kernel prices over and the
-/// descriptors the batched kernels are written into.
+/// The runtime's shared (cross-sequence) recycled scratch: the
+/// concatenated mask list a masked kernel prices over and the descriptor
+/// it is instantiated into.
 #[derive(Debug)]
 struct SharedScratch {
     all_masks: Vec<Vec<bool>>,
     union_mask: Vec<bool>,
     masked_desc: KernelDesc,
-    batched: KernelDesc,
 }
 
 impl Default for SharedScratch {
@@ -119,23 +166,35 @@ impl Default for SharedScratch {
             all_masks: Vec::new(),
             union_mask: Vec::new(),
             masked_desc: KernelDesc::builder(String::new(), KernelKind::Other).build(),
-            batched: KernelDesc::builder(String::new(), KernelKind::Other).build(),
         }
     }
 }
 
-/// Executes [`ExecutionPlan`]s over a batch of sequences in lockstep.
+/// Executes LSTM [`ExecutionPlan`]s over a gang of sequences in lockstep.
 ///
-/// Like [`PlanRuntime`](crate::plan::PlanRuntime) it owns its transient
-/// state — one [`Workspace`] per sequence plus the shared batched-kernel
-/// scratch — and reuses every buffer across executions, so a warm
-/// serving loop performs zero heap allocations per steady-state
-/// timestep.
-#[derive(Debug, Default)]
+/// It owns its transient state — one [`Workspace`] and one `W·x` buffer
+/// per gang member, plus the shared masked-kernel and batched-kernel
+/// scratch — and reuses every buffer across executions. Per-member
+/// scratch is kept at the largest gang seen, so a warm serving loop whose
+/// gang size varies from round to round performs zero heap allocations
+/// per steady-state timestep.
+#[derive(Debug)]
 pub struct BatchRuntime {
     wx: Vec<Vec<GatePreacts>>,
     ws: Vec<Workspace>,
     shared: SharedScratch,
+    batched: KernelDesc,
+}
+
+impl Default for BatchRuntime {
+    fn default() -> Self {
+        Self {
+            wx: Vec::new(),
+            ws: Vec::new(),
+            shared: SharedScratch::default(),
+            batched: KernelDesc::builder(String::new(), KernelKind::Other).build(),
+        }
+    }
 }
 
 impl BatchRuntime {
@@ -148,7 +207,8 @@ impl BatchRuntime {
     /// streaming one *batched* kernel per planned kernel into `sink`.
     ///
     /// Allocating convenience wrapper over
-    /// [`run_lstm_batch_into`](Self::run_lstm_batch_into).
+    /// [`run_lstm_batch_into`](Self::run_lstm_batch_into); returns exactly
+    /// one output per sequence.
     ///
     /// # Panics
     /// Panics if `seqs` is empty, if any sequence is empty or differs
@@ -167,8 +227,11 @@ impl BatchRuntime {
     }
 
     /// [`run_lstm_batch`](Self::run_lstm_batch) into a recycled output
-    /// vector (resized to the batch, buffers reused). Output `i` is
-    /// bit-identical to `PlanRuntime::run_lstm(plan, net, &seqs[i], ..)`.
+    /// vector: output `i` of the gang lands in `outs[i]`, for `i <
+    /// seqs.len()`. `outs` only ever grows — entries past the gang keep
+    /// whatever an earlier, larger gang left there, so read `outs[..b]`
+    /// (or zip with the gang). Output `i` is bit-identical to
+    /// `PlanRuntime::run_lstm(plan, net, &seqs[i], ..)`.
     ///
     /// # Panics
     /// As [`run_lstm_batch`](Self::run_lstm_batch).
@@ -180,15 +243,30 @@ impl BatchRuntime {
         sink: &mut impl KernelSink,
         outs: &mut Vec<PlanOutput>,
     ) {
-        assert!(
-            !seqs.is_empty(),
-            "BatchRuntime::run_lstm_batch: empty batch"
-        );
+        let outs = high_water(outs, seqs.len(), PlanOutput::new);
+        self.run_gang(plan, net, seqs, sink, outs);
+    }
+
+    /// Runs `plan` over the gang `seqs` (slices or vectors of inputs),
+    /// writing output `s` into `outs[s]`. A gang of one is how
+    /// [`PlanRuntime`](crate::plan::PlanRuntime) executes LSTM plans.
+    ///
+    /// # Panics
+    /// As [`run_lstm_batch`](Self::run_lstm_batch); also if `outs` and
+    /// `seqs` differ in length.
+    pub(crate) fn run_gang<X: AsRef<[Vector]>>(
+        &mut self,
+        plan: &ExecutionPlan,
+        net: &LstmNetwork,
+        seqs: &[X],
+        sink: &mut impl KernelSink,
+        outs: &mut [PlanOutput],
+    ) {
+        assert!(!seqs.is_empty(), "run_lstm_batch: empty batch");
+        assert_eq!(outs.len(), seqs.len(), "one output per gang member");
         for (i, xs) in seqs.iter().enumerate() {
-            assert!(
-                !xs.is_empty(),
-                "BatchRuntime::run_lstm_batch: empty input (sequence {i})"
-            );
+            let xs = xs.as_ref();
+            assert!(!xs.is_empty(), "run_lstm: empty input (sequence {i})");
             assert_eq!(
                 xs.len(),
                 plan.seq_len,
@@ -198,7 +276,7 @@ impl BatchRuntime {
             );
         }
         let PlanBody::Lstm(layer_plans) = &plan.body else {
-            panic!("BatchRuntime::run_lstm_batch: plan was compiled for a GRU network");
+            panic!("run_lstm: plan was compiled for a GRU network");
         };
         assert_eq!(
             layer_plans.len(),
@@ -207,10 +285,20 @@ impl BatchRuntime {
         );
         let b = seqs.len();
 
-        let Self { wx, ws, shared } = self;
-        outs.resize_with(b, PlanOutput::new);
-        wx.resize_with(b, Vec::new);
-        ws.resize_with(b, Workspace::new);
+        let Self {
+            wx,
+            ws,
+            shared,
+            batched,
+        } = self;
+        let wx = high_water(wx, b, Vec::new);
+        let ws = high_water(ws, b, Workspace::new);
+        let mut gang = GangSink {
+            sink,
+            b,
+            regions: &plan.regions,
+            batched,
+        };
         for out in outs.iter_mut() {
             out.layer_hs.resize_with(layer_plans.len(), Vec::new);
             out.layer_skips.clear();
@@ -218,19 +306,18 @@ impl BatchRuntime {
                 .resize(layer_plans.len(), SkipStats::default());
         }
         for (l, (lp, layer)) in layer_plans.iter().zip(net.layers()).enumerate() {
-            sink.begin_layer(l);
-            sink.tag(tag_b(SpanTag::wx(l), b));
-            batch_kernel_into(&lp.wx, b, &plan.regions, &mut shared.batched);
-            sink.emit(&shared.batched);
-            for s in 0..b {
+            gang.sink.begin_layer(l);
+            gang.tag(SpanTag::wx(l));
+            gang.emit(&lp.wx);
+            for (s, wx_s) in wx.iter_mut().enumerate() {
                 let current: &[Vector] = if l == 0 {
-                    &seqs[s]
+                    seqs[s].as_ref()
                 } else {
                     &outs[s].layer_hs[l - 1]
                 };
                 layer
                     .weights()
-                    .precompute_wx_batch_into_at(plan.precision, current, &mut wx[s]);
+                    .precompute_wx_batch_into_at(plan.precision, current, wx_s);
             }
             Self::execute_lstm_body_into(
                 l,
@@ -238,17 +325,15 @@ impl BatchRuntime {
                 &lp.body,
                 layer.weights(),
                 wx,
-                &plan.regions,
                 ws,
                 shared,
-                sink,
+                &mut gang,
                 outs,
             );
         }
-        sink.begin_tail();
-        sink.tag(tag_b(SpanTag::head(), b));
-        batch_kernel_into(&plan.head, b, &plan.regions, &mut shared.batched);
-        sink.emit(&shared.batched);
+        gang.sink.begin_tail();
+        gang.tag(SpanTag::head());
+        gang.emit(&plan.head);
         for out in outs.iter_mut() {
             let h_final = out
                 .layer_hs
@@ -259,47 +344,97 @@ impl BatchRuntime {
         }
     }
 
-    /// Executes one layer body for every sequence, emitting batched
-    /// kernels. Per-sequence arithmetic mirrors
-    /// `PlanRuntime::execute_lstm_body_into` call for call — sequences
-    /// are independent, so the interchanged loops produce bit-identical
-    /// per-sequence values. Hidden outputs land in
+    /// Executes one planned layer body *numerically only* — no kernels,
+    /// no skip accounting — on precomputed `W·x` terms at `precision`.
+    /// Backs [`PlanRuntime::layer_numerics_at`](crate::plan::PlanRuntime::layer_numerics_at).
+    pub(crate) fn layer_numerics_at(
+        &mut self,
+        precision: Precision,
+        body: &LayerBody,
+        weights: &CellWeights,
+        wx: &[GatePreacts],
+    ) -> Vec<Vector> {
+        let mut out = PlanOutput {
+            layer_hs: vec![Vec::new()],
+            logits: Vector::zeros(0),
+            layer_skips: vec![SkipStats::default()],
+        };
+        // A gang of one never batches a kernel, so it consults no region.
+        let regions = NetworkRegions {
+            layers: Vec::new(),
+            head: RegionId::new(0),
+        };
+        let Self {
+            ws,
+            shared,
+            batched,
+            ..
+        } = self;
+        let mut gang = GangSink {
+            sink: &mut NullSink,
+            b: 1,
+            regions: &regions,
+            batched,
+        };
+        // Layer index 0 is a placeholder: the NullSink drops the tags.
+        Self::execute_lstm_body_into(
+            0,
+            precision,
+            body,
+            weights,
+            slice::from_ref(&wx),
+            high_water(ws, 1, Workspace::new),
+            shared,
+            &mut gang,
+            slice::from_mut(&mut out),
+        );
+        out.layer_hs.pop().expect("one layer")
+    }
+
+    /// The first gang member's workspace, for the single-sequence GRU
+    /// executor.
+    pub(crate) fn solo_workspace(&mut self) -> &mut Workspace {
+        &mut high_water(&mut self.ws, 1, Workspace::new)[0]
+    }
+
+    /// Executes one layer body for every sequence of the gang, emitting
+    /// one kernel per planned kernel. Hidden outputs land in
     /// `outs[s].layer_hs[layer]`, skip statistics in
     /// `outs[s].layer_skips[layer]`.
     #[allow(clippy::too_many_arguments)] // internal: the runtime split needs each piece
-    fn execute_lstm_body_into(
+    fn execute_lstm_body_into<W: AsRef<[GatePreacts]>>(
         layer: usize,
         precision: Precision,
         body: &LayerBody,
         weights: &CellWeights,
-        wx: &[Vec<GatePreacts>],
-        regions: &NetworkRegions,
+        wx: &[W],
         ws: &mut [Workspace],
         shared: &mut SharedScratch,
-        sink: &mut impl KernelSink,
+        gang: &mut GangSink<'_, impl KernelSink>,
         outs: &mut [PlanOutput],
     ) {
         let hidden = weights.hidden();
         let b = wx.len();
         match body {
             LayerBody::Baseline { cells } => {
-                for wx_s in wx {
-                    assert_eq!(cells.len(), wx_s.len(), "plan/input length mismatch");
-                }
                 for s in 0..b {
+                    assert_eq!(
+                        cells.len(),
+                        wx[s].as_ref().len(),
+                        "plan/input length mismatch"
+                    );
                     ws[s].h.resize_fill(hidden, 0.0);
                     ws[s].c.resize_fill(hidden, 0.0);
                     outs[s].layer_hs[layer].resize_with(cells.len(), || Vector::zeros(0));
                 }
                 for (t, cell) in cells.iter().enumerate() {
-                    sink.tag(tag_b(SpanTag::cells(layer, t), b));
-                    batch_kernel_into(&cell.sgemv, b, regions, &mut shared.batched);
-                    sink.emit(&shared.batched);
+                    gang.tag(SpanTag::cells(layer, t));
+                    gang.emit(&cell.sgemv);
                     for s in 0..b {
                         let w = &mut ws[s];
                         weights.step_fused_into_at(
                             precision,
-                            &wx[s][t],
+                            &wx[s].as_ref()[t],
                             &w.h,
                             &w.c,
                             &mut w.cell,
@@ -310,63 +445,57 @@ impl BatchRuntime {
                         mem::swap(&mut w.c, &mut w.c_next);
                         outs[s].layer_hs[layer][t].clone_from(&w.h);
                     }
-                    batch_kernel_into(&cell.ew, b, regions, &mut shared.batched);
-                    sink.emit(&shared.batched);
+                    gang.emit(&cell.ew);
                 }
             }
             LayerBody::Drs { alpha_intra, cells } => {
-                for wx_s in wx {
-                    assert_eq!(cells.len(), wx_s.len(), "plan/input length mismatch");
-                }
                 for s in 0..b {
+                    assert_eq!(
+                        cells.len(),
+                        wx[s].as_ref().len(),
+                        "plan/input length mismatch"
+                    );
                     ws[s].h.resize_fill(hidden, 0.0);
                     ws[s].c.resize_fill(hidden, 0.0);
                     outs[s].layer_hs[layer].resize_with(cells.len(), || Vector::zeros(0));
                 }
                 for (t, cell) in cells.iter().enumerate() {
-                    sink.tag(tag_b(SpanTag::cells(layer, t), b));
-                    batch_kernel_into(&cell.uo, b, regions, &mut shared.batched);
-                    sink.emit(&shared.batched);
-                    batch_kernel_into(&cell.gate_ew, b, regions, &mut shared.batched);
-                    sink.emit(&shared.batched);
+                    gang.tag(SpanTag::cells(layer, t));
+                    gang.emit(&cell.uo);
+                    gang.emit(&cell.gate_ew);
                     for s in 0..b {
                         let w = &mut ws[s];
                         weights.output_gate_into_at(
                             precision,
-                            &wx[s][t].o,
+                            &wx[s].as_ref()[t].o,
                             &w.h,
                             &mut w.cell,
                             &mut w.gate,
                         );
                     }
-                    batch_kernel_into(&cell.select, b, regions, &mut shared.batched);
-                    sink.emit(&shared.batched);
-                    shared.all_masks.resize_with(b, Vec::new);
+                    gang.emit(&cell.select);
+                    let masks = high_water(&mut shared.all_masks, b, Vec::new);
                     for s in 0..b {
-                        trivial_row_mask_into(&ws[s].gate, *alpha_intra, &mut shared.all_masks[s]);
-                        outs[s].layer_skips[layer].push(skip_fraction(&shared.all_masks[s]));
+                        trivial_row_mask_into(&ws[s].gate, *alpha_intra, &mut masks[s]);
+                        outs[s].layer_skips[layer].push(skip_fraction(&masks[s]));
                     }
                     cell.masked.instantiate_batch_into(
-                        &shared.all_masks,
+                        masks,
                         b,
                         &mut shared.union_mask,
                         &mut shared.masked_desc,
                     );
-                    if b > 1 {
-                        push_batch_suffix(&mut shared.masked_desc.label, b);
-                    }
-                    sink.emit(&shared.masked_desc);
-                    batch_kernel_into(&cell.ew, b, regions, &mut shared.batched);
-                    sink.emit(&shared.batched);
+                    gang.emit_masked(&mut shared.masked_desc);
+                    gang.emit(&cell.ew);
                     for s in 0..b {
                         let w = &mut ws[s];
                         weights.step_masked_into_at(
                             precision,
-                            &wx[s][t],
+                            &wx[s].as_ref()[t],
                             &w.h,
                             &w.c,
                             &w.gate,
-                            &shared.all_masks[s],
+                            &masks[s],
                             &mut w.cell,
                             &mut w.h_next,
                             &mut w.c_next,
@@ -385,14 +514,12 @@ impl BatchRuntime {
                 predicted_c,
                 tissues,
             } => {
-                sink.tag(tag_b(SpanTag::offline(layer), b));
-                batch_kernel_into(search, b, regions, &mut shared.batched);
-                sink.emit(&shared.batched);
+                gang.tag(SpanTag::offline(layer));
+                gang.emit(search);
                 if let Some(k) = link {
-                    batch_kernel_into(k, b, regions, &mut shared.batched);
-                    sink.emit(&shared.batched);
+                    gang.emit(k);
                 }
-                let n = wx[0].len();
+                let n = wx[0].as_ref().len();
                 for w in ws.iter_mut() {
                     w.zero_h.resize_fill(hidden, 0.0);
                     w.zero_c.resize_fill(hidden, 0.0);
@@ -402,10 +529,7 @@ impl BatchRuntime {
                     w.filled.resize(n, false);
                 }
                 for (k, tp) in tissues.iter().enumerate() {
-                    sink.tag(tag_b(
-                        SpanTag::tissue(layer, k, tp.sublayers.first().copied()),
-                        b,
-                    ));
+                    gang.tag(SpanTag::tissue(layer, k, tp.sublayers.first().copied()));
                     // The schedule guarantees every Prior predecessor was
                     // produced by an earlier tissue; check up front so
                     // the in-place slot writes below cannot mask a
@@ -422,18 +546,17 @@ impl BatchRuntime {
                     }
                     match &tp.kernels {
                         TissueKernels::Plain { sgemm, ew } => {
-                            batch_kernel_into(sgemm, b, regions, &mut shared.batched);
-                            sink.emit(&shared.batched);
-                            batch_kernel_into(ew, b, regions, &mut shared.batched);
-                            sink.emit(&shared.batched);
+                            gang.emit(sgemm);
+                            gang.emit(ew);
                             for (s, w) in ws.iter_mut().enumerate() {
-                                Self::step_tissue_plain(
+                                Self::step_tissue(
                                     precision,
                                     weights,
-                                    &wx[s],
+                                    wx[s].as_ref(),
                                     tp,
                                     predicted_h,
                                     predicted_c,
+                                    false,
                                     w,
                                 );
                             }
@@ -445,12 +568,9 @@ impl BatchRuntime {
                             masked,
                             ew,
                         } => {
-                            batch_kernel_into(uo, b, regions, &mut shared.batched);
-                            sink.emit(&shared.batched);
-                            batch_kernel_into(gate_ew, b, regions, &mut shared.batched);
-                            sink.emit(&shared.batched);
-                            batch_kernel_into(select, b, regions, &mut shared.batched);
-                            sink.emit(&shared.batched);
+                            gang.emit(uo);
+                            gang.emit(gate_ew);
+                            gang.emit(select);
                             let size = tp.cells.len();
                             for (s, w) in ws.iter_mut().enumerate() {
                                 let Workspace {
@@ -461,8 +581,8 @@ impl BatchRuntime {
                                     zero_h,
                                     ..
                                 } = w;
-                                os.resize_with(size, || Vector::zeros(0));
-                                masks.resize_with(size, Vec::new);
+                                let os = high_water(os, size, || Vector::zeros(0));
+                                let masks = high_water(masks, size, Vec::new);
                                 for (i, (&t, src)) in tp.cells.iter().zip(&tp.prev).enumerate() {
                                     let h_prev = match src {
                                         PrevSource::Zeros => &*zero_h,
@@ -471,7 +591,7 @@ impl BatchRuntime {
                                     };
                                     weights.output_gate_into_at(
                                         precision,
-                                        &wx[s][t].o,
+                                        &wx[s].as_ref()[t].o,
                                         h_prev,
                                         cell,
                                         &mut os[i],
@@ -485,32 +605,29 @@ impl BatchRuntime {
                             // Concatenate each sequence's masks
                             // (sequence-major, matching the per-sequence
                             // pricing order).
-                            shared.all_masks.resize_with(b * size, Vec::new);
+                            let all_masks = high_water(&mut shared.all_masks, b * size, Vec::new);
                             for (s, w) in ws.iter().enumerate() {
-                                for (i, mask) in w.masks.iter().enumerate() {
-                                    shared.all_masks[s * size + i].clone_from(mask);
+                                for (i, mask) in w.masks[..size].iter().enumerate() {
+                                    all_masks[s * size + i].clone_from(mask);
                                 }
                             }
                             masked.instantiate_batch_into(
-                                &shared.all_masks,
+                                all_masks,
                                 b,
                                 &mut shared.union_mask,
                                 &mut shared.masked_desc,
                             );
-                            if b > 1 {
-                                push_batch_suffix(&mut shared.masked_desc.label, b);
-                            }
-                            sink.emit(&shared.masked_desc);
-                            batch_kernel_into(ew, b, regions, &mut shared.batched);
-                            sink.emit(&shared.batched);
+                            gang.emit_masked(&mut shared.masked_desc);
+                            gang.emit(ew);
                             for (s, w) in ws.iter_mut().enumerate() {
-                                Self::step_tissue_masked(
+                                Self::step_tissue(
                                     precision,
                                     weights,
-                                    &wx[s],
+                                    wx[s].as_ref(),
                                     tp,
                                     predicted_h,
                                     predicted_c,
+                                    true,
                                     w,
                                 );
                             }
@@ -520,7 +637,7 @@ impl BatchRuntime {
                 for (s, w) in ws.iter_mut().enumerate() {
                     let hs_out = &mut outs[s].layer_hs[layer];
                     hs_out.resize_with(n, || Vector::zeros(0));
-                    for (t, slot) in hs_out.iter_mut().enumerate().take(n) {
+                    for (t, slot) in hs_out.iter_mut().enumerate() {
                         assert!(w.filled[t], "every cell scheduled exactly once");
                         mem::swap(slot, &mut w.h_slots[t]);
                     }
@@ -529,55 +646,18 @@ impl BatchRuntime {
         }
     }
 
-    /// Runs one sequence's plain-tissue steps into its workspace slots.
-    fn step_tissue_plain(
+    /// Runs one sequence's tissue steps into its workspace slots: fused
+    /// exact steps, or — when `masked` — the Dynamic-Row-Skip steps on
+    /// the gates and masks already computed in `w.os`/`w.masks`.
+    #[allow(clippy::too_many_arguments)] // internal: the workspace split needs each piece
+    fn step_tissue(
         precision: Precision,
         weights: &CellWeights,
         wx: &[GatePreacts],
-        tp: &crate::plan::TissuePlan,
+        tp: &TissuePlan,
         predicted_h: &Vector,
         predicted_c: &Vector,
-        w: &mut Workspace,
-    ) {
-        let Workspace {
-            cell,
-            h_slots,
-            c_slots,
-            filled,
-            zero_h,
-            zero_c,
-            ..
-        } = w;
-        for (&t, src) in tp.cells.iter().zip(&tp.prev) {
-            let (done_h, rest_h) = h_slots.split_at_mut(t);
-            let (done_c, rest_c) = c_slots.split_at_mut(t);
-            let (h_prev, c_prev) = match src {
-                PrevSource::Zeros => (&*zero_h, &*zero_c),
-                PrevSource::Predicted => (predicted_h, predicted_c),
-                PrevSource::Prior => (&done_h[t - 1], &done_c[t - 1]),
-            };
-            weights.step_fused_into_at(
-                precision,
-                &wx[t],
-                h_prev,
-                c_prev,
-                cell,
-                &mut rest_h[0],
-                &mut rest_c[0],
-            );
-            filled[t] = true;
-        }
-    }
-
-    /// Runs one sequence's DRS-tissue masked steps into its workspace
-    /// slots, using the gates/masks already computed in `w.os`/`w.masks`.
-    fn step_tissue_masked(
-        precision: Precision,
-        weights: &CellWeights,
-        wx: &[GatePreacts],
-        tp: &crate::plan::TissuePlan,
-        predicted_h: &Vector,
-        predicted_c: &Vector,
+        masked: bool,
         w: &mut Workspace,
     ) {
         let Workspace {
@@ -599,17 +679,29 @@ impl BatchRuntime {
                 PrevSource::Predicted => (predicted_h, predicted_c),
                 PrevSource::Prior => (&done_h[t - 1], &done_c[t - 1]),
             };
-            weights.step_masked_into_at(
-                precision,
-                &wx[t],
-                h_prev,
-                c_prev,
-                &os[i],
-                &masks[i],
-                cell,
-                &mut rest_h[0],
-                &mut rest_c[0],
-            );
+            if masked {
+                weights.step_masked_into_at(
+                    precision,
+                    &wx[t],
+                    h_prev,
+                    c_prev,
+                    &os[i],
+                    &masks[i],
+                    cell,
+                    &mut rest_h[0],
+                    &mut rest_c[0],
+                );
+            } else {
+                weights.step_fused_into_at(
+                    precision,
+                    &wx[t],
+                    h_prev,
+                    c_prev,
+                    cell,
+                    &mut rest_h[0],
+                    &mut rest_c[0],
+                );
+            }
             filled[t] = true;
         }
     }
@@ -635,19 +727,59 @@ mod tests {
     }
 
     #[test]
-    fn batch_of_one_matches_plan_runtime_exactly() {
+    fn gang_of_one_emits_the_planned_kernel_list() {
         let (net, seqs) = setup(21);
         let plan =
             ExecutionPlan::compile_baseline(&net, seqs[0].len(), &DeviceModel::default_preset());
-        let mut serial_trace: Vec<KernelDesc> = Vec::new();
-        let serial = PlanRuntime::new().run_lstm(&plan, &net, &seqs[0], &mut serial_trace);
-        let mut batch_trace: Vec<KernelDesc> = Vec::new();
-        let batched = BatchRuntime::new().run_lstm_batch(&plan, &net, &seqs[..1], &mut batch_trace);
-        // Outputs AND the emitted kernel stream are bit-identical: a
-        // batch of one is serial execution.
+        let mut trace: Vec<KernelDesc> = Vec::new();
+        let batched = BatchRuntime::new().run_lstm_batch(&plan, &net, &seqs[..1], &mut trace);
+        // A gang of one launches the plan's own descriptors, in plan
+        // order: per layer `wx`, then per cell `sgemv`/`ew`; then `head`.
+        let PlanBody::Lstm(layers) = &plan.body else {
+            unreachable!()
+        };
+        let mut planned = Vec::new();
+        for lp in layers {
+            planned.push(lp.wx.clone());
+            let LayerBody::Baseline { cells } = &lp.body else {
+                unreachable!()
+            };
+            for cell in cells {
+                planned.push(cell.sgemv.clone());
+                planned.push(cell.ew.clone());
+            }
+        }
+        planned.push(plan.head.clone());
+        assert_eq!(trace, planned);
+        let exact = net.forward(&seqs[0]);
         assert_eq!(batched.len(), 1);
-        assert_eq!(batched[0], serial);
-        assert_eq!(batch_trace, serial_trace);
+        assert_eq!(batched[0].logits, exact.logits);
+        assert_eq!(batched[0].layer_hs, exact.layer_outputs);
+    }
+
+    #[test]
+    fn shrinking_gang_writes_the_leading_outputs_and_keeps_the_rest() {
+        let (net, seqs) = setup(27);
+        let plan =
+            ExecutionPlan::compile_baseline(&net, seqs[0].len(), &DeviceModel::default_preset());
+        let mut runtime = BatchRuntime::new();
+        let mut outs = Vec::new();
+        runtime.run_lstm_batch_into(&plan, &net, &seqs, &mut crate::plan::NullSink, &mut outs);
+        let full = outs.clone();
+        runtime.run_lstm_batch_into(
+            &plan,
+            &net,
+            &seqs[2..3],
+            &mut crate::plan::NullSink,
+            &mut outs,
+        );
+        assert_eq!(
+            outs.len(),
+            seqs.len(),
+            "outputs keep their high-water length"
+        );
+        assert_eq!(outs[0], full[2]);
+        assert_eq!(outs[1..], full[1..]);
     }
 
     #[test]

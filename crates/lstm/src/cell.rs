@@ -563,25 +563,17 @@ impl CellWeights {
     /// Panics if `x.len() != input_dim`.
     pub fn precompute_wx(&self, x: &Vector) -> GatePreacts {
         let mut out = GatePreacts::zeros(self.hidden);
-        self.precompute_wx_into(x, &mut out);
+        self.precompute_wx_into_at(Precision::Fp32, x, &mut out);
         out
     }
 
     /// [`precompute_wx`](Self::precompute_wx) into caller-owned gate
-    /// vectors (resized in place; allocation-free once at width). One
-    /// fused pass over the `W_{f,i,c,o}` slab fills all four sections.
-    ///
-    /// # Panics
-    /// Panics if `x.len() != input_dim`.
-    pub fn precompute_wx_into(&self, x: &Vector, out: &mut GatePreacts) {
-        self.precompute_wx_into_at(Precision::Fp32, x, out);
-    }
-
-    /// [`precompute_wx_into`](Self::precompute_wx_into) with the `W`
-    /// quartet stored at `precision`. `Fp32` is the exact path; the
-    /// quantized tiers dequantize on load with the same accumulation
-    /// order, so the result is bit-identical to running fp32 on the
-    /// [`Precision::apply`]-dequantized weights.
+    /// vectors (resized in place; allocation-free once at width), with the
+    /// `W` quartet stored at `precision`. One fused pass over the
+    /// `W_{f,i,c,o}` slab fills all four sections. `Fp32` is the exact
+    /// path; the quantized tiers dequantize on load with the same
+    /// accumulation order, so the result is bit-identical to running fp32
+    /// on the [`Precision::apply`]-dequantized weights.
     ///
     /// # Panics
     /// Panics if `x.len() != input_dim`.
@@ -607,24 +599,16 @@ impl CellWeights {
     /// Panics if any `xs[i].len() != input_dim`.
     pub fn precompute_wx_batch(&self, xs: &[Vector]) -> Vec<GatePreacts> {
         let mut out = Vec::new();
-        self.precompute_wx_batch_into(xs, &mut out);
+        self.precompute_wx_batch_into_at(Precision::Fp32, xs, &mut out);
         out
     }
 
     /// [`precompute_wx_batch`](Self::precompute_wx_batch) into a recycled
-    /// buffer: `out` is resized to `xs.len()` entries of width `hidden`
-    /// and fully overwritten. Steady-state loops that keep `out` across
-    /// timesteps never touch the allocator here.
-    ///
-    /// # Panics
-    /// Panics if any `xs[i].len() != input_dim`.
-    pub fn precompute_wx_batch_into(&self, xs: &[Vector], out: &mut Vec<GatePreacts>) {
-        self.precompute_wx_batch_into_at(Precision::Fp32, xs, out);
-    }
-
-    /// [`precompute_wx_batch_into`](Self::precompute_wx_batch_into) with
-    /// the `W` quartet stored at `precision`. Entry `i` is bit-identical
-    /// to [`precompute_wx_into_at`](Self::precompute_wx_into_at)` (precision, &xs[i], ..)`.
+    /// buffer, with the `W` quartet stored at `precision`: `out` is resized
+    /// to `xs.len()` entries of width `hidden` and fully overwritten, so
+    /// steady-state loops that keep `out` never touch the allocator here.
+    /// Entry `i` is bit-identical to
+    /// [`precompute_wx_into_at`](Self::precompute_wx_into_at)` (precision, &xs[i], ..)`.
     ///
     /// # Panics
     /// Panics if any `xs[i].len() != input_dim`.
@@ -662,36 +646,26 @@ impl CellWeights {
         let mut scratch = CellScratch::new();
         let mut h = Vector::zeros(0);
         let mut c = Vector::zeros(0);
-        self.step_fused_into(wx, h_prev, c_prev, &mut scratch, &mut h, &mut c);
+        self.step_fused_into_at(
+            Precision::Fp32,
+            wx,
+            h_prev,
+            c_prev,
+            &mut scratch,
+            &mut h,
+            &mut c,
+        );
         (h, c)
     }
 
-    /// The zero-allocation exact cell step: one fused `U_{f,i,c,o}·h`
-    /// GEMV into the scratch slab, then the Eqs. 1–5 elementwise pass
-    /// into the recycled `h_out`/`c_out`. Bit-identical to
-    /// [`step`](Self::step) (same kernels, same per-element association).
+    /// The zero-allocation exact cell step with the `U` quartet stored at
+    /// `precision`: one fused `U_{f,i,c,o}·h` GEMV into the scratch slab
+    /// (dequantizing on load), then the Eqs. 1–5 elementwise pass into
+    /// the recycled `h_out`/`c_out` (activations and state arithmetic
+    /// stay fp32). At `Fp32` it is bit-identical to [`step`](Self::step).
     ///
     /// `h_out`/`c_out` may alias the previous state only by value — pass
     /// distinct buffers; runtimes double-buffer and swap.
-    ///
-    /// # Panics
-    /// Panics on `h_prev`/`c_prev` length mismatch.
-    pub fn step_fused_into(
-        &self,
-        wx: &GatePreacts,
-        h_prev: &Vector,
-        c_prev: &Vector,
-        scratch: &mut CellScratch,
-        h_out: &mut Vector,
-        c_out: &mut Vector,
-    ) {
-        self.step_fused_into_at(Precision::Fp32, wx, h_prev, c_prev, scratch, h_out, c_out);
-    }
-
-    /// [`step_fused_into`](Self::step_fused_into) with the `U` quartet
-    /// stored at `precision`: the recurrent GEMV dequantizes on load,
-    /// the Eqs. 1–5 elementwise pass is unchanged (activations and
-    /// state arithmetic stay fp32).
     ///
     /// # Panics
     /// Panics on `h_prev`/`c_prev` length mismatch.
@@ -770,23 +744,12 @@ impl CellWeights {
     pub fn output_gate(&self, wx_o: &Vector, h_prev: &Vector) -> Vector {
         let mut scratch = CellScratch::new();
         let mut o = Vector::zeros(0);
-        self.output_gate_into(wx_o, h_prev, &mut scratch, &mut o);
+        self.output_gate_into_at(Precision::Fp32, wx_o, h_prev, &mut scratch, &mut o);
         o
     }
 
     /// [`output_gate`](Self::output_gate) into a recycled buffer — the
-    /// zero-allocation form for DRS step loops. Bit-identical.
-    pub fn output_gate_into(
-        &self,
-        wx_o: &Vector,
-        h_prev: &Vector,
-        scratch: &mut CellScratch,
-        o_out: &mut Vector,
-    ) {
-        self.output_gate_into_at(Precision::Fp32, wx_o, h_prev, scratch, o_out);
-    }
-
-    /// [`output_gate_into`](Self::output_gate_into) with the `U` quartet
+    /// zero-allocation form for DRS step loops — with the `U` quartet
     /// stored at `precision` (only the `U_o` panel is streamed).
     pub fn output_gate_into_at(
         &self,
@@ -829,29 +792,6 @@ impl CellWeights {
         let mut scratch = CellScratch::new();
         let mut h = Vector::zeros(0);
         let mut c = Vector::zeros(0);
-        self.step_masked_into(wx, h_prev, c_prev, o, active, &mut scratch, &mut h, &mut c);
-        (h, c)
-    }
-
-    /// The zero-allocation DRS step: the `f, i, c` prefix of the fused
-    /// `U` slab is applied under the shared row mask (one gathered
-    /// launch), then the masked elementwise pass fills the recycled
-    /// outputs. Bit-identical to [`step_masked`](Self::step_masked).
-    ///
-    /// # Panics
-    /// Panics on any length mismatch.
-    #[allow(clippy::too_many_arguments)]
-    pub fn step_masked_into(
-        &self,
-        wx: &GatePreacts,
-        h_prev: &Vector,
-        c_prev: &Vector,
-        o: &Vector,
-        active: &[bool],
-        scratch: &mut CellScratch,
-        h_out: &mut Vector,
-        c_out: &mut Vector,
-    ) {
         self.step_masked_into_at(
             Precision::Fp32,
             wx,
@@ -859,15 +799,19 @@ impl CellWeights {
             c_prev,
             o,
             active,
-            scratch,
-            h_out,
-            c_out,
+            &mut scratch,
+            &mut h,
+            &mut c,
         );
+        (h, c)
     }
 
-    /// [`step_masked_into`](Self::step_masked_into) with the `U` quartet
-    /// stored at `precision`: the gathered `f, i, c` prefix launch
-    /// dequantizes the surviving rows on load.
+    /// The zero-allocation DRS step with the `U` quartet stored at
+    /// `precision`: the `f, i, c` prefix of the fused `U` slab is applied
+    /// under the shared row mask (one gathered launch that dequantizes the
+    /// surviving rows on load), then the masked elementwise pass fills the
+    /// recycled outputs. At `Fp32` it is bit-identical to
+    /// [`step_masked`](Self::step_masked).
     ///
     /// # Panics
     /// Panics on any length mismatch.

@@ -183,23 +183,12 @@ impl GruWeights {
     pub fn update_gate(&self, x: &Vector, h_prev: &Vector) -> Vector {
         let mut scratch = GruScratch::new();
         let mut z = Vector::zeros(0);
-        self.update_gate_into(x, h_prev, &mut scratch, &mut z);
+        self.update_gate_into_at(Precision::Fp32, x, h_prev, &mut scratch, &mut z);
         z
     }
 
     /// [`update_gate`](Self::update_gate) into a recycled buffer — the
-    /// zero-allocation form for DRS step loops. Bit-identical.
-    pub fn update_gate_into(
-        &self,
-        x: &Vector,
-        h_prev: &Vector,
-        scratch: &mut GruScratch,
-        z_out: &mut Vector,
-    ) {
-        self.update_gate_into_at(Precision::Fp32, x, h_prev, scratch, z_out);
-    }
-
-    /// [`update_gate_into`](Self::update_gate_into) with the gate packs
+    /// zero-allocation form for DRS step loops — with the gate packs
     /// stored at `precision` (dequantize-on-load; activations stay fp32).
     pub fn update_gate_into_at(
         &self,
@@ -226,28 +215,16 @@ impl GruWeights {
     pub fn step(&self, x: &Vector, h_prev: &Vector) -> Vector {
         let mut scratch = GruScratch::new();
         let mut h = Vector::zeros(0);
-        self.step_into(x, h_prev, &mut scratch, &mut h);
+        self.step_into_at(Precision::Fp32, x, h_prev, &mut scratch, &mut h);
         h
     }
 
-    /// The zero-allocation exact GRU step: each gate is one pass through
-    /// the fused `r, z, h` packs into the scratch slab, with `r ⊙ h` and
-    /// `z` held in recycled scratch buffers. Bit-identical to
-    /// [`step`](Self::step) (the packed GEMV reproduces the reference
-    /// `sgemv` bitwise, and the per-element expressions are unchanged).
-    pub fn step_into(
-        &self,
-        x: &Vector,
-        h_prev: &Vector,
-        scratch: &mut GruScratch,
-        h_out: &mut Vector,
-    ) {
-        self.step_into_at(Precision::Fp32, x, h_prev, scratch, h_out);
-    }
-
-    /// [`step_into`](Self::step_into) with the gate packs stored at
-    /// `precision`: all six GEMVs dequantize on load, the elementwise
-    /// gate arithmetic is unchanged.
+    /// The zero-allocation exact GRU step with the gate packs stored at
+    /// `precision`: each gate is one pass through the fused `r, z, h`
+    /// packs into the scratch slab (all six GEMVs dequantize on load),
+    /// with `r ⊙ h` and `z` held in recycled scratch buffers; the
+    /// elementwise gate arithmetic is unchanged. At `Fp32` it is
+    /// bit-identical to [`step`](Self::step).
     pub fn step_into_at(
         &self,
         precision: Precision,
@@ -299,33 +276,16 @@ impl GruWeights {
     pub fn step_masked(&self, x: &Vector, h_prev: &Vector, z: &Vector, active: &[bool]) -> Vector {
         let mut scratch = GruScratch::new();
         let mut h = Vector::zeros(0);
-        self.step_masked_into(x, h_prev, z, active, &mut scratch, &mut h);
+        self.step_masked_into_at(Precision::Fp32, x, h_prev, z, active, &mut scratch, &mut h);
         h
     }
 
-    /// The zero-allocation DRS-adapted step. `U_r` applies to `h_{t-1}`
-    /// and `U_h` to `r ⊙ h_{t-1}`, so the two masked recurrent GEMVs run
-    /// per gate (they cannot share one gathered launch the way the LSTM's
-    /// `f, i, c` prefix does). Bit-identical to
-    /// [`step_masked`](Self::step_masked).
-    ///
-    /// # Panics
-    /// Panics on length mismatches.
-    pub fn step_masked_into(
-        &self,
-        x: &Vector,
-        h_prev: &Vector,
-        z: &Vector,
-        active: &[bool],
-        scratch: &mut GruScratch,
-        h_out: &mut Vector,
-    ) {
-        self.step_masked_into_at(Precision::Fp32, x, h_prev, z, active, scratch, h_out);
-    }
-
-    /// [`step_masked_into`](Self::step_masked_into) with the gate packs
-    /// stored at `precision`: the surviving rows of both masked
-    /// recurrent GEMVs are dequantized as they are gathered.
+    /// The zero-allocation DRS-adapted step with the gate packs stored at
+    /// `precision`. `U_r` applies to `h_{t-1}` and `U_h` to `r ⊙ h_{t-1}`,
+    /// so the two masked recurrent GEMVs run per gate (they cannot share
+    /// one gathered launch the way the LSTM's `f, i, c` prefix does); the
+    /// surviving rows are dequantized as they are gathered. At `Fp32` it
+    /// is bit-identical to [`step_masked`](Self::step_masked).
     ///
     /// # Panics
     /// Panics on length mismatches.

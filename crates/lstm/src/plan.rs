@@ -14,7 +14,9 @@
 //!   the real `f32` arithmetic and feeding each kernel to a
 //!   [`KernelSink`] the moment it is "launched" — a collector for trace
 //!   inspection, or a [`gpu_sim::TraceSession`] for incremental pricing
-//!   without materializing the whole trace.
+//!   without materializing the whole trace. LSTM plans run as a gang of
+//!   one on [`BatchRuntime`], the only executor of LSTM layer bodies;
+//!   GRU plans run on the GRU executor here.
 //!
 //! Only the row-masked `Sgemv/Sgemm(U, ·, R)` kernel of Dynamic Row Skip
 //! cannot be fully priced at compile time: its cost depends on the gate
@@ -28,6 +30,7 @@
 //! [`ExecutionPlan::compile_gru_baseline`]); the optimized flows compile
 //! in the `memlstm` crate, which owns the offline analyses.
 
+use crate::batch::BatchRuntime;
 use crate::cell::{CellWeights, GatePreacts};
 use crate::drs::{skip_cost, skip_fraction, trivial_row_mask_into, union_active_into, DrsMode};
 use crate::gru::GruWeights;
@@ -39,7 +42,7 @@ use crate::schedule::{
 };
 use crate::workspace::Workspace;
 use gpu_sim::{DeviceModel, KernelDesc, KernelKind, MemAccess, RegionId, SpanTag, TraceSession};
-use std::mem;
+use std::{mem, slice};
 use tensor::{Precision, Vector};
 
 /// Receives kernels as the runtime "launches" them.
@@ -888,17 +891,21 @@ impl PlanOutput {
     }
 }
 
-/// Executes [`ExecutionPlan`]s over streaming inputs.
+/// Executes [`ExecutionPlan`]s over streaming inputs, one sequence at a
+/// time.
 ///
-/// The runtime owns a [`Workspace`] — the fused gate slabs, `(h, c)`
-/// double buffers, per-timestep slots, and mask scratch — and the
-/// pre-activation buffers, reusing all of them across executions. A warm
-/// plan-once / evaluate-many loop performs no per-run planning work and
-/// zero heap allocations per steady-state timestep.
+/// LSTM plans run as a gang of one through the [`BatchRuntime`] executor
+/// — the only executor of LSTM layer bodies — which emits the planned
+/// kernels themselves when there is no batch. GRU plans run through this
+/// runtime's own executor. Either way the runtime owns its
+/// [`Workspace`] — the fused gate slabs, `(h, c)` double buffers,
+/// per-timestep slots, and mask scratch — and the pre-activation buffers,
+/// reusing all of them across executions. A warm plan-once /
+/// evaluate-many loop performs no per-run planning work and zero heap
+/// allocations per steady-state timestep.
 #[derive(Debug, Default)]
 pub struct PlanRuntime {
-    wx: Vec<GatePreacts>,
-    ws: Workspace,
+    gang: BatchRuntime,
 }
 
 impl PlanRuntime {
@@ -943,76 +950,17 @@ impl PlanRuntime {
         sink: &mut impl KernelSink,
         out: &mut PlanOutput,
     ) {
-        assert!(!xs.is_empty(), "PlanRuntime::run_lstm: empty input");
-        assert_eq!(
-            xs.len(),
-            plan.seq_len,
-            "plan compiled for sequence length {}, got {}",
-            plan.seq_len,
-            xs.len()
-        );
-        let PlanBody::Lstm(layer_plans) = &plan.body else {
-            panic!("PlanRuntime::run_lstm: plan was compiled for a GRU network");
-        };
-        assert_eq!(
-            layer_plans.len(),
-            net.layers().len(),
-            "plan/network layer count mismatch"
-        );
-
-        out.layer_hs.resize_with(layer_plans.len(), Vec::new);
-        out.layer_skips.clear();
-        out.layer_skips
-            .resize(layer_plans.len(), SkipStats::default());
-        for (l, (lp, layer)) in layer_plans.iter().zip(net.layers()).enumerate() {
-            sink.begin_layer(l);
-            sink.tag(SpanTag::wx(l));
-            sink.emit(&lp.wx);
-            let (done, rest) = out.layer_hs.split_at_mut(l);
-            let current: &[Vector] = if l == 0 { xs } else { &done[l - 1] };
-            layer
-                .weights()
-                .precompute_wx_batch_into_at(plan.precision, current, &mut self.wx);
-            Self::execute_lstm_body_into(
-                l,
-                plan.precision,
-                &lp.body,
-                layer.weights(),
-                &self.wx,
-                &mut self.ws,
-                sink,
-                &mut out.layer_skips[l],
-                &mut rest[0],
-            );
-        }
-        sink.begin_tail();
-        sink.tag(SpanTag::head());
-        sink.emit(&plan.head);
-        let h_final = out
-            .layer_hs
-            .last()
-            .and_then(|hs| hs.last())
-            .expect("non-empty sequence");
-        net.apply_head_into(h_final, &mut out.logits);
+        self.gang
+            .run_gang(plan, net, slice::from_ref(&xs), sink, slice::from_mut(out));
     }
 
     /// Executes one planned LSTM layer body *numerically only* — no
-    /// kernels, no skip accounting. Plan compilers use this to advance
-    /// their probe sequence through already-planned layers with the same
-    /// arithmetic the runtime will use.
-    pub fn layer_numerics(
-        &mut self,
-        body: &LayerBody,
-        weights: &CellWeights,
-        wx: &[GatePreacts],
-    ) -> Vec<Vector> {
-        self.layer_numerics_at(Precision::Fp32, body, weights, wx)
-    }
-
-    /// [`layer_numerics`](Self::layer_numerics) with the gate packs
-    /// stored at `precision` — the probe-advancement arithmetic of a
-    /// quantized plan compile (`wx` must come from
+    /// kernels, no skip accounting — with the gate packs stored at
+    /// `precision` (`wx` must come from
     /// [`CellWeights::precompute_wx_batch_into_at`] at the same tier).
+    /// Plan compilers use this to advance their probe sequence through
+    /// already-planned layers with the same arithmetic the runtime will
+    /// use.
     pub fn layer_numerics_at(
         &mut self,
         precision: Precision,
@@ -1020,288 +968,7 @@ impl PlanRuntime {
         weights: &CellWeights,
         wx: &[GatePreacts],
     ) -> Vec<Vector> {
-        let mut skips = SkipStats::default();
-        let mut hs = Vec::new();
-        // Layer index 0 is a placeholder: the NullSink drops the tags.
-        Self::execute_lstm_body_into(
-            0,
-            precision,
-            body,
-            weights,
-            wx,
-            &mut self.ws,
-            &mut NullSink,
-            &mut skips,
-            &mut hs,
-        );
-        hs
-    }
-
-    #[allow(clippy::too_many_arguments)] // internal: the workspace split needs each piece
-    fn execute_lstm_body_into(
-        layer: usize,
-        precision: Precision,
-        body: &LayerBody,
-        weights: &CellWeights,
-        wx: &[GatePreacts],
-        ws: &mut Workspace,
-        sink: &mut impl KernelSink,
-        skips: &mut SkipStats,
-        hs_out: &mut Vec<Vector>,
-    ) {
-        let hidden = weights.hidden();
-        match body {
-            LayerBody::Baseline { cells } => {
-                assert_eq!(cells.len(), wx.len(), "plan/input length mismatch");
-                ws.h.resize_fill(hidden, 0.0);
-                ws.c.resize_fill(hidden, 0.0);
-                hs_out.resize_with(wx.len(), || Vector::zeros(0));
-                for (t, (cell, pre)) in cells.iter().zip(wx).enumerate() {
-                    sink.tag(SpanTag::cells(layer, t));
-                    sink.emit(&cell.sgemv);
-                    weights.step_fused_into_at(
-                        precision,
-                        pre,
-                        &ws.h,
-                        &ws.c,
-                        &mut ws.cell,
-                        &mut ws.h_next,
-                        &mut ws.c_next,
-                    );
-                    mem::swap(&mut ws.h, &mut ws.h_next);
-                    mem::swap(&mut ws.c, &mut ws.c_next);
-                    hs_out[t].clone_from(&ws.h);
-                    sink.emit(&cell.ew);
-                }
-            }
-            LayerBody::Drs { alpha_intra, cells } => {
-                assert_eq!(cells.len(), wx.len(), "plan/input length mismatch");
-                ws.h.resize_fill(hidden, 0.0);
-                ws.c.resize_fill(hidden, 0.0);
-                hs_out.resize_with(wx.len(), || Vector::zeros(0));
-                for (t, (cell, pre)) in cells.iter().zip(wx).enumerate() {
-                    sink.tag(SpanTag::cells(layer, t));
-                    sink.emit(&cell.uo);
-                    sink.emit(&cell.gate_ew);
-                    weights.output_gate_into_at(
-                        precision,
-                        &pre.o,
-                        &ws.h,
-                        &mut ws.cell,
-                        &mut ws.gate,
-                    );
-                    sink.emit(&cell.select);
-                    trivial_row_mask_into(&ws.gate, *alpha_intra, &mut ws.active);
-                    skips.push(skip_fraction(&ws.active));
-                    cell.masked.instantiate_into(
-                        std::slice::from_ref(&ws.active),
-                        &mut ws.union_mask,
-                        &mut ws.masked_desc,
-                    );
-                    sink.emit(&ws.masked_desc);
-                    sink.emit(&cell.ew);
-                    weights.step_masked_into_at(
-                        precision,
-                        pre,
-                        &ws.h,
-                        &ws.c,
-                        &ws.gate,
-                        &ws.active,
-                        &mut ws.cell,
-                        &mut ws.h_next,
-                        &mut ws.c_next,
-                    );
-                    mem::swap(&mut ws.h, &mut ws.h_next);
-                    mem::swap(&mut ws.c, &mut ws.c_next);
-                    hs_out[t].clone_from(&ws.h);
-                }
-            }
-            LayerBody::Tissues {
-                search,
-                link,
-                alpha_intra,
-                predicted_h,
-                predicted_c,
-                tissues,
-            } => {
-                sink.tag(SpanTag::offline(layer));
-                sink.emit(search);
-                if let Some(k) = link {
-                    sink.emit(k);
-                }
-                let n = wx.len();
-                let Workspace {
-                    cell,
-                    gate: _,
-                    os,
-                    masks,
-                    union_mask,
-                    masked_desc,
-                    h_slots,
-                    c_slots,
-                    filled,
-                    zero_h,
-                    zero_c,
-                    ..
-                } = ws;
-                zero_h.resize_fill(hidden, 0.0);
-                zero_c.resize_fill(hidden, 0.0);
-                h_slots.resize_with(n, || Vector::zeros(0));
-                c_slots.resize_with(n, || Vector::zeros(0));
-                filled.clear();
-                filled.resize(n, false);
-                for (k, tp) in tissues.iter().enumerate() {
-                    sink.tag(SpanTag::tissue(layer, k, tp.sublayers.first().copied()));
-                    // The schedule guarantees every Prior predecessor was
-                    // produced by an *earlier* tissue; check up front so
-                    // the in-place slot writes below cannot mask a
-                    // malformed plan.
-                    for (&t, src) in tp.cells.iter().zip(&tp.prev) {
-                        if matches!(src, PrevSource::Prior) {
-                            assert!(
-                                filled[t - 1],
-                                "schedule guarantees the predecessor already ran"
-                            );
-                        }
-                    }
-                    match &tp.kernels {
-                        TissueKernels::Plain { sgemm, ew } => {
-                            sink.emit(sgemm);
-                            sink.emit(ew);
-                            for (&t, src) in tp.cells.iter().zip(&tp.prev) {
-                                match src {
-                                    PrevSource::Zeros => {
-                                        let (_, rest_h) = h_slots.split_at_mut(t);
-                                        let (_, rest_c) = c_slots.split_at_mut(t);
-                                        weights.step_fused_into_at(
-                                            precision,
-                                            &wx[t],
-                                            zero_h,
-                                            zero_c,
-                                            cell,
-                                            &mut rest_h[0],
-                                            &mut rest_c[0],
-                                        );
-                                    }
-                                    PrevSource::Predicted => {
-                                        let (_, rest_h) = h_slots.split_at_mut(t);
-                                        let (_, rest_c) = c_slots.split_at_mut(t);
-                                        weights.step_fused_into_at(
-                                            precision,
-                                            &wx[t],
-                                            predicted_h,
-                                            predicted_c,
-                                            cell,
-                                            &mut rest_h[0],
-                                            &mut rest_c[0],
-                                        );
-                                    }
-                                    PrevSource::Prior => {
-                                        let (done_h, rest_h) = h_slots.split_at_mut(t);
-                                        let (done_c, rest_c) = c_slots.split_at_mut(t);
-                                        weights.step_fused_into_at(
-                                            precision,
-                                            &wx[t],
-                                            &done_h[t - 1],
-                                            &done_c[t - 1],
-                                            cell,
-                                            &mut rest_h[0],
-                                            &mut rest_c[0],
-                                        );
-                                    }
-                                }
-                                filled[t] = true;
-                            }
-                        }
-                        TissueKernels::Drs {
-                            uo,
-                            gate_ew,
-                            select,
-                            masked,
-                            ew,
-                        } => {
-                            sink.emit(uo);
-                            sink.emit(gate_ew);
-                            sink.emit(select);
-                            os.resize_with(tp.cells.len(), || Vector::zeros(0));
-                            masks.resize_with(tp.cells.len(), Vec::new);
-                            for (i, (&t, src)) in tp.cells.iter().zip(&tp.prev).enumerate() {
-                                let h_prev = match src {
-                                    PrevSource::Zeros => &*zero_h,
-                                    PrevSource::Predicted => predicted_h,
-                                    PrevSource::Prior => &h_slots[t - 1],
-                                };
-                                weights.output_gate_into_at(
-                                    precision, &wx[t].o, h_prev, cell, &mut os[i],
-                                );
-                                trivial_row_mask_into(&os[i], *alpha_intra, &mut masks[i]);
-                            }
-                            for mask in masks.iter() {
-                                skips.push(skip_fraction(mask));
-                            }
-                            masked.instantiate_into(masks, union_mask, masked_desc);
-                            sink.emit(masked_desc);
-                            sink.emit(ew);
-                            for (i, (&t, src)) in tp.cells.iter().zip(&tp.prev).enumerate() {
-                                match src {
-                                    PrevSource::Zeros => {
-                                        let (_, rest_h) = h_slots.split_at_mut(t);
-                                        let (_, rest_c) = c_slots.split_at_mut(t);
-                                        weights.step_masked_into_at(
-                                            precision,
-                                            &wx[t],
-                                            zero_h,
-                                            zero_c,
-                                            &os[i],
-                                            &masks[i],
-                                            cell,
-                                            &mut rest_h[0],
-                                            &mut rest_c[0],
-                                        );
-                                    }
-                                    PrevSource::Predicted => {
-                                        let (_, rest_h) = h_slots.split_at_mut(t);
-                                        let (_, rest_c) = c_slots.split_at_mut(t);
-                                        weights.step_masked_into_at(
-                                            precision,
-                                            &wx[t],
-                                            predicted_h,
-                                            predicted_c,
-                                            &os[i],
-                                            &masks[i],
-                                            cell,
-                                            &mut rest_h[0],
-                                            &mut rest_c[0],
-                                        );
-                                    }
-                                    PrevSource::Prior => {
-                                        let (done_h, rest_h) = h_slots.split_at_mut(t);
-                                        let (done_c, rest_c) = c_slots.split_at_mut(t);
-                                        weights.step_masked_into_at(
-                                            precision,
-                                            &wx[t],
-                                            &done_h[t - 1],
-                                            &done_c[t - 1],
-                                            &os[i],
-                                            &masks[i],
-                                            cell,
-                                            &mut rest_h[0],
-                                            &mut rest_c[0],
-                                        );
-                                    }
-                                }
-                                filled[t] = true;
-                            }
-                        }
-                    }
-                }
-                hs_out.resize_with(n, || Vector::zeros(0));
-                for t in 0..n {
-                    assert!(filled[t], "every cell scheduled exactly once");
-                    mem::swap(&mut hs_out[t], &mut h_slots[t]);
-                }
-            }
-        }
+        self.gang.layer_numerics_at(precision, body, weights, wx)
     }
 
     /// Executes a GRU plan on `xs`, streaming kernels into `sink`.
@@ -1373,7 +1040,7 @@ impl PlanRuntime {
                 layer.weights(),
                 hidden,
                 current,
-                &mut self.ws,
+                self.gang.solo_workspace(),
                 sink,
                 &mut out.layer_skips[l],
                 &mut rest[0],
@@ -1429,7 +1096,7 @@ impl PlanRuntime {
                     trivial_row_mask_into(&ws.gate, *alpha_intra, &mut ws.active);
                     skips.push(skip_fraction(&ws.active));
                     cell.masked.instantiate_into(
-                        std::slice::from_ref(&ws.active),
+                        slice::from_ref(&ws.active),
                         &mut ws.union_mask,
                         &mut ws.masked_desc,
                     );

@@ -4,12 +4,14 @@
 //!
 //! The paper's premise is that the recurrent loop is launch-bound and
 //! bandwidth-bound; the host-side analogue of that waste is per-step heap
-//! churn. A [`Workspace`] owns the fused gate slab, the `(h, c)` double
-//! buffers, the skip-mask scratch and the recycled masked-kernel
-//! descriptor, so a warm [`PlanRuntime`](crate::plan::PlanRuntime) or
-//! [`BatchRuntime`](crate::batch::BatchRuntime) performs zero heap
-//! allocations per steady-state timestep (asserted by the `alloc_audit`
-//! bench).
+//! churn. A [`Workspace`] owns one sequence's fused gate slab, `(h, c)`
+//! double buffers, skip-mask scratch and tissue slots. The
+//! [`BatchRuntime`](crate::batch::BatchRuntime) keeps one per gang member
+//! (at the largest gang seen), and a
+//! [`PlanRuntime`](crate::plan::PlanRuntime) runs on the first of them —
+//! LSTM plans as a gang of one, GRU plans through its own executor — so
+//! either performs zero heap allocations per steady-state timestep
+//! (asserted by the `alloc_audit` bench).
 
 use crate::cell::CellScratch;
 use crate::gru::GruScratch;
@@ -39,15 +41,20 @@ pub struct Workspace {
     /// The hoisted gate driving Dynamic Row Skip: `o_t` for the LSTM,
     /// `z_t` for the GRU.
     pub(crate) gate: Vector,
-    /// Per-cell active-row mask (`DRS(o_t, α_intra, R)` output).
+    /// Per-cell active-row mask of the GRU's DRS flow
+    /// (`DRS(z_t, α_intra, R)` output).
     pub(crate) active: Vec<bool>,
-    /// Column-wise union of the masks a batched kernel prices over.
+    /// Column-wise union of the masks the GRU's masked kernel prices
+    /// over.
     pub(crate) union_mask: Vec<bool>,
-    /// The recycled descriptor masked templates are instantiated into.
+    /// The recycled descriptor the GRU's masked template is
+    /// instantiated into.
     pub(crate) masked_desc: KernelDesc,
-    /// Per-cell output gates of one tissue (parallel to its cells).
+    /// Per-cell output gates of one tissue (parallel to its cells; kept
+    /// at the largest tissue seen).
     pub(crate) os: Vec<Vector>,
-    /// Per-cell active masks of one tissue (parallel to its cells).
+    /// Per-cell active masks of one tissue (parallel to its cells; kept
+    /// at the largest tissue seen).
     pub(crate) masks: Vec<Vec<bool>>,
     /// Per-timestep hidden outputs of a reorganized layer.
     pub(crate) h_slots: Vec<Vector>,

@@ -19,7 +19,7 @@
 //! Deeper layers' relevances depend on the (approximated) hidden states
 //! the earlier layers produce, so the compiler advances every probe
 //! numerically through each layer *as planned* — using the same runtime
-//! code paths (`PlanRuntime::layer_numerics`) the online phase uses — and
+//! code paths (`PlanRuntime::layer_numerics_at`) the online phase uses — and
 //! analyzes layer `l + 1` against exactly the inputs it will see.
 
 use crate::breakpoints::find_breakpoints;

@@ -262,15 +262,6 @@ impl ServeConfig {
         }
     }
 
-    /// The stock configuration for `device` — the builder's starting
-    /// point, which is valid by construction.
-    #[deprecated(note = "use ServeConfig::builder(device)")]
-    pub fn new(device: DeviceModel) -> Self {
-        ServeConfig::builder(device)
-            .build()
-            .expect("stock config is valid")
-    }
-
     /// Checks the numeric fields. [`ServeConfigBuilder::build`] is the
     /// one caller on the construction path; it stays public so code that
     /// assembles a `ServeConfig` literally (the fields are public) can
