@@ -127,7 +127,7 @@ pub fn fig15(session: &mut Session) -> String {
 }
 
 /// Fig. 16: weight-matrix compression schemes compared — zero-pruning
-/// [31], software DRS, and hardware (CRM) DRS.
+/// \[31\], software DRS, and hardware (CRM) DRS.
 pub fn fig16(session: &mut Session) -> String {
     let mut table = TextTable::new([
         "benchmark",

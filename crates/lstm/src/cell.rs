@@ -3,9 +3,7 @@
 use rand::Rng;
 use std::sync::OnceLock;
 use tensor::init::{xavier_uniform, GateBiasInit, RowScaledInit};
-use tensor::{
-    tanh, Activation, FusedGates, GatherScratch, Matrix, Precision, QuantizedGates, Vector,
-};
+use tensor::{tanh, Activation, FusedGates, Matrix, Precision, QuantizedGates, Vector};
 
 /// One vector per LSTM gate, in the paper's `f, i, c, o` order.
 ///
@@ -157,16 +155,11 @@ impl GateSlab {
         x: &Vector,
         active: &[bool],
         skipped_value: f32,
-        scratch: &mut GatherScratch,
         out: &mut [f32],
     ) {
         match self {
-            GateSlab::Exact(f) => {
-                f.gemv_masked_prefix_into(ngates, x, active, skipped_value, scratch, out)
-            }
-            GateSlab::Quant(q) => {
-                q.gemv_masked_prefix_into(ngates, x, active, skipped_value, scratch, out)
-            }
+            GateSlab::Exact(f) => f.gemv_masked_prefix_into(ngates, x, active, skipped_value, out),
+            GateSlab::Quant(q) => q.gemv_masked_prefix_into(ngates, x, active, skipped_value, out),
         }
     }
 
@@ -177,16 +170,11 @@ impl GateSlab {
         x: &Vector,
         active: &[bool],
         skipped_value: f32,
-        scratch: &mut GatherScratch,
         out: &mut [f32],
     ) {
         match self {
-            GateSlab::Exact(f) => {
-                f.gate_gemv_masked_into(g, x, active, skipped_value, scratch, out)
-            }
-            GateSlab::Quant(q) => {
-                q.gate_gemv_masked_into(g, x, active, skipped_value, scratch, out)
-            }
+            GateSlab::Exact(f) => f.gate_gemv_masked_into(g, x, active, skipped_value, out),
+            GateSlab::Quant(q) => q.gate_gemv_masked_into(g, x, active, skipped_value, out),
         }
     }
 }
@@ -212,17 +200,15 @@ const GATE_O: usize = 3;
 /// Reusable scratch for the zero-allocation `_into` cell-step APIs.
 ///
 /// One `CellScratch` serves any number of layers sequentially: the
-/// fused-gate slab and the DRS gather panel grow to the largest layer
-/// seen and are then reused without further heap traffic. Runtimes keep
-/// one of these per workspace and rent it to every step.
+/// fused-gate slab grows to the largest layer seen and is then reused
+/// without further heap traffic. Runtimes keep one of these per
+/// workspace and rent it to every step.
 #[derive(Debug, Default)]
 pub struct CellScratch {
     /// Fused pre-activation slab: `4 * hidden` for dense steps
     /// (`U_{f,i,c,o}·h`), `3 * hidden` for masked steps (`U_{f,i,c}·h`),
     /// `hidden` for the output-gate-only launch.
     slab: Vec<f32>,
-    /// Row-gather panel for DRS-masked recurrent GEMVs.
-    gather: GatherScratch,
 }
 
 impl CellScratch {
@@ -808,10 +794,10 @@ impl CellWeights {
 
     /// The zero-allocation DRS step with the `U` quartet stored at
     /// `precision`: the `f, i, c` prefix of the fused `U` slab is applied
-    /// under the shared row mask (one gathered launch that dequantizes the
-    /// surviving rows on load), then the masked elementwise pass fills the
-    /// recycled outputs. At `Fp32` it is bit-identical to
-    /// [`step_masked`](Self::step_masked).
+    /// under the shared row mask (one launch that skips the 8-row panels
+    /// with no active row and dequantizes the rest on load), then the
+    /// masked elementwise pass fills the recycled outputs. At `Fp32` it is
+    /// bit-identical to [`step_masked`](Self::step_masked).
     ///
     /// # Panics
     /// Panics on any length mismatch.
@@ -838,7 +824,6 @@ impl CellWeights {
             h_prev,
             active,
             0.0,
-            &mut scratch.gather,
             &mut scratch.slab,
         );
         let (uf, rest) = scratch.slab.split_at(n);

@@ -113,7 +113,7 @@ impl GruNetwork {
 /// A facade over the plan pipeline: `run` compiles a
 /// [`ExecutionPlan::compile_gru_baseline`] plan for the input's length and
 /// executes it immediately. Callers that run many sequences should
-/// compile once and reuse a [`PlanRuntime`](crate::plan::PlanRuntime).
+/// compile once and reuse a [`PlanRuntime`].
 #[derive(Debug, Clone, Copy)]
 pub struct GruBaselineExecutor<'a> {
     net: &'a GruNetwork,

@@ -25,8 +25,7 @@ use tensor::Vector;
 /// at the start of each layer and overwrite in place per timestep.
 #[derive(Debug)]
 pub struct Workspace {
-    /// LSTM cell scratch: the fused `U` gate slab plus the row-gather
-    /// panel used by masked GEMVs.
+    /// LSTM cell scratch: the fused `U` gate slab.
     pub(crate) cell: CellScratch,
     /// GRU scratch: per-gate slabs, `r`, `z`, and `r ⊙ h` buffers.
     pub(crate) gru: GruScratch,

@@ -8,7 +8,7 @@
 //! compiles the offline analyses into an [`ExecutionPlan`]
 //! (see [`crate::compile`]), and [`run`](OptimizedExecutor::run) executes
 //! that plan immediately on the same input with a
-//! [`PlanRuntime`](lstm::plan::PlanRuntime). Callers that evaluate many
+//! [`PlanRuntime`]. Callers that evaluate many
 //! sequences should compile the plan once and reuse it — that is what
 //! `Evaluator` in the `thresholds` module does.
 
@@ -345,7 +345,7 @@ impl<'a> OptimizedExecutor<'a> {
     /// Compiles a plan with `xs` itself as the probe and executes it
     /// immediately — the one-shot path. Plan-reuse callers should pair
     /// [`plan`](Self::plan) with a long-lived
-    /// [`PlanRuntime`](lstm::plan::PlanRuntime) instead.
+    /// [`PlanRuntime`] instead.
     ///
     /// # Panics
     /// Panics if `xs` is empty.

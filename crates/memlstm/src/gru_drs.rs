@@ -11,7 +11,7 @@
 //! Like every executor, this is a facade over the plan pipeline:
 //! [`GruDrsExecutor::plan`] lowers the flow into an [`ExecutionPlan`]
 //! whose masked `Sgemv(U_rh, h, R)` is a
-//! [`MaskedUKernel`](lstm::plan::MaskedUKernel) template instantiated at
+//! [`MaskedUKernel`] template instantiated at
 //! runtime from the actual update-gate values.
 
 use crate::drs::DrsConfig;

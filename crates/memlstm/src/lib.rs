@@ -14,7 +14,7 @@
 //!   (Algorithm 3) — compute the output gate first, identify near-zero
 //!   elements, and skip the corresponding `U_{f,i,c}` rows — in both the
 //!   divergence-paying software variant and the CRM hardware variant.
-//!   [`pruning`] provides the element-granular zero-pruning baseline [31]
+//!   [`pruning`] provides the element-granular zero-pruning baseline \[31\]
 //!   the paper compares against (Fig. 16).
 //!
 //! [`exec`] ties both levels into executors that produce real numbers plus

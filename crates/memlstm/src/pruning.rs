@@ -1,4 +1,4 @@
-//! The zero-pruning comparison baseline (paper Fig. 16, scheme [31]).
+//! The zero-pruning comparison baseline (paper Fig. 16, scheme \[31\]).
 //!
 //! Deep-compression-style magnitude pruning erases near-zero *elements* of
 //! the weight matrices offline. It reduces the stored weight volume, but

@@ -24,16 +24,26 @@
 //!
 //! ## Bit-exactness
 //!
-//! Every kernel here reuses [`panel_gemv`], the same micro-kernel behind
-//! `PackedMatrix::gemv`, and each output row is an independent SIMD lane
-//! with its own accumulators. Fusing changes only *which rows ride in
-//! one pass over `x`* — a regrouping of rows, never of any row's sum —
-//! so gate `g`'s section of a fused product is bit-identical to
-//! `PackedMatrix::pack(&mats[g]).gemv(&x)`. The property tests pin this
-//! for dense, batched, and masked paths.
+//! Every kernel here reuses `panel_gemv`, the same micro-kernel behind
+//! [`PackedMatrix::gemv`](crate::PackedMatrix::gemv), and each output row
+//! is an independent SIMD lane with its own accumulators. Fusing changes
+//! only *which rows ride in one pass over `x`* — a regrouping of rows,
+//! never of any row's sum — so gate `g`'s section of a fused product is
+//! bit-identical to `PackedMatrix::pack(&mats[g]).gemv(&x)`. The property
+//! tests pin this for dense, batched, and masked paths.
+//!
+//! ## Masked products skip whole panels
+//!
+//! The DRS-masked kernels do not gather live rows. They walk the gate's
+//! [`MR`]-row panels: a panel with no active row is never read (its rows
+//! get the skipped value), and any other panel runs the dense
+//! micro-kernel and keeps only its active rows. The host therefore saves
+//! weight traffic in whole 8-row panels, while `gpu-sim` prices the
+//! skipped rows one by one; the two clocks count skipped work
+//! differently, and neither changes a single output bit.
 
 use crate::matrix::Matrix;
-use crate::packed::{panel_gemv, GatherScratch, MR};
+use crate::packed::{masked_panels_into, panel_gemv, MR};
 use crate::vector::Vector;
 
 /// Several equally-shaped gate matrices packed into one gate-major slab
@@ -224,11 +234,9 @@ impl FusedGates {
     /// skipped rows of every gate produce `skipped_value`; `out` is the
     /// gate-major slab of the `ngates` masked sections.
     ///
-    /// Active rows are gathered per gate in increasing row order, [`MR`]
-    /// at a time — the same grouping as
+    /// Each section is bit-identical to
     /// [`sgemv_masked_gather`](crate::sgemv_masked_gather) on that gate's
-    /// raw matrix, so each section is bit-identical to the unfused
-    /// masked kernel.
+    /// raw matrix (see [`gate_gemv_masked_into`](Self::gate_gemv_masked_into)).
     ///
     /// # Panics
     /// Panics if `ngates > gates`, `x.len() != cols`,
@@ -239,7 +247,6 @@ impl FusedGates {
         x: &Vector,
         active: &[bool],
         skipped_value: f32,
-        scratch: &mut GatherScratch,
         out: &mut [f32],
     ) {
         assert!(
@@ -254,15 +261,16 @@ impl FusedGates {
         );
         for g in 0..ngates {
             let section = &mut out[g * self.rows..(g + 1) * self.rows];
-            self.gate_gemv_masked_into(g, x, active, skipped_value, scratch, section);
+            self.gate_gemv_masked_into(g, x, active, skipped_value, section);
         }
     }
 
-    /// Row-masked product of one gate's matrix: the packed twin of
-    /// [`sgemv_masked_gather_into`](crate::sgemv_masked_gather_into),
-    /// gathering active rows out of the interleaved panels instead of a
-    /// row-major matrix. Bit-identical to the raw-matrix gather kernel
-    /// (same rows, same grouping, same micro-kernel).
+    /// Row-masked product of one gate's matrix, walking its panels: a
+    /// panel with no active row is filled with `skipped_value` unread,
+    /// any other panel runs the dense micro-kernel and keeps its active
+    /// rows. Bit-identical to
+    /// [`sgemv_masked_gather`](crate::sgemv_masked_gather) on the raw
+    /// gate matrix (each lane accumulates on its own).
     ///
     /// # Panics
     /// Panics if `g >= gates`, `x.len() != cols`,
@@ -273,7 +281,6 @@ impl FusedGates {
         x: &Vector,
         active: &[bool],
         skipped_value: f32,
-        scratch: &mut GatherScratch,
         out: &mut [f32],
     ) {
         assert!(
@@ -295,50 +302,10 @@ impl FusedGates {
             self.rows,
             "FusedGates::gate_gemv_masked_into: out length"
         );
-        let cols = self.cols;
-        let ppg = self.ppg();
-        let gate_base = g * ppg * MR * cols;
-        out.fill(skipped_value);
-        let panel = &mut scratch.panel;
-        panel.clear();
-        panel.resize(MR * cols, 0.0);
-        let mut gathered: [usize; MR] = [0; MR];
-        let mut lanes = 0usize;
-        let data = &self.data;
-        let mut flush = |panel: &mut [f32], gathered: &[usize; MR], lanes: &mut usize| {
-            if *lanes == 0 {
-                return;
-            }
-            // Gather the active rows out of their source panels with the
-            // column index outermost: stores are sequential in the
-            // scratch panel, reads are `lanes` strided streams (stride
-            // MR within each source panel).
-            for (k, chunk) in panel.chunks_exact_mut(MR).enumerate() {
-                for (slot, &r) in chunk.iter_mut().zip(gathered.iter().take(*lanes)) {
-                    let src = gate_base + (r / MR) * MR * cols + k * MR + (r % MR);
-                    *slot = data[src];
-                }
-                // Pad dead lanes so the micro-kernel's discarded extra
-                // work is well-defined (at most the final flush).
-                chunk[*lanes..].fill(0.0);
-            }
-            let sum = panel_gemv(panel, cols, x.as_slice());
-            for (lane, &r) in gathered.iter().enumerate().take(*lanes) {
-                out[r] = sum[lane];
-            }
-            *lanes = 0;
-        };
-        for (r, &is_active) in active.iter().enumerate() {
-            if !is_active {
-                continue;
-            }
-            gathered[lanes] = r;
-            lanes += 1;
-            if lanes == MR {
-                flush(panel, &gathered, &mut lanes);
-            }
-        }
-        flush(panel, &gathered, &mut lanes);
+        let first = g * self.ppg();
+        masked_panels_into(active, skipped_value, out, |p| {
+            panel_gemv(self.panel(first + p), self.cols, x.as_slice())
+        });
     }
 }
 
@@ -566,11 +533,10 @@ mod tests {
             let refs: Vec<&Matrix> = mats.iter().collect();
             let fused = FusedGates::pack(&refs);
             let x = pseudo_vector(cols, 5);
-            let mut scratch = GatherScratch::new();
             for skip_mod in [2usize, 3, 5] {
                 let active: Vec<bool> = (0..rows).map(|r| r % skip_mod != 0).collect();
                 let mut slab = vec![0.0f32; 3 * rows];
-                fused.gemv_masked_prefix_into(3, &x, &active, 0.0, &mut scratch, &mut slab);
+                fused.gemv_masked_prefix_into(3, &x, &active, 0.0, &mut slab);
                 for (g, m) in mats.iter().take(3).enumerate() {
                     let reference = sgemv_masked_gather(m, &x, &active, 0.0);
                     for (f, r) in slab[g * rows..(g + 1) * rows].iter().zip(reference.iter()) {
@@ -588,11 +554,10 @@ mod tests {
         let fused = FusedGates::pack(&refs);
         let x = pseudo_vector(14, 2);
         let full = vec![true; 21];
-        let mut scratch = GatherScratch::new();
         let mut masked = vec![0.0f32; 21];
         let mut dense = vec![0.0f32; 21];
         for g in 0..3 {
-            fused.gate_gemv_masked_into(g, &x, &full, 0.0, &mut scratch, &mut masked);
+            fused.gate_gemv_masked_into(g, &x, &full, 0.0, &mut masked);
             fused.gate_gemv_into(g, x.as_slice(), &mut dense);
             for (m, d) in masked.iter().zip(&dense) {
                 assert_eq!(m.to_bits(), d.to_bits());
@@ -607,9 +572,8 @@ mod tests {
         let fused = FusedGates::pack(&refs);
         let x = pseudo_vector(4, 9);
         let none = vec![false; 9];
-        let mut scratch = GatherScratch::new();
         let mut out = vec![0.0f32; 9];
-        fused.gate_gemv_masked_into(0, &x, &none, 42.0, &mut scratch, &mut out);
+        fused.gate_gemv_masked_into(0, &x, &none, 42.0, &mut out);
         assert!(out.iter().all(|&v| v == 42.0));
     }
 

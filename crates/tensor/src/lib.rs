@@ -19,9 +19,10 @@
 //! assert_eq!(y.as_slice(), &[-2.0, -2.0]);
 //! ```
 
-// `deny`, not `forbid`: the one sanctioned exception is the
-// runtime-dispatched AVX micro-kernel in `fused`, which carries a
-// scoped `#[allow(unsafe_code)]` and a safety argument.
+// `deny`, not `forbid`: the sanctioned exceptions are the
+// runtime-dispatched SIMD panel micro-kernels in `packed`, `fused` and
+// `quant`, each with a scoped `#[allow(unsafe_code)]` and a safety
+// argument.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -40,7 +41,7 @@ pub use activation::{hard_sigmoid, sigmoid, tanh, Activation, SENSITIVE_HI, SENS
 pub use error::{ShapeError, TensorResult};
 pub use fused::FusedGates;
 pub use matrix::Matrix;
-pub use packed::{sgemv_masked_gather, sgemv_masked_gather_into, GatherScratch, PackedMatrix};
+pub use packed::{sgemv_masked_gather, PackedMatrix};
 pub use quant::{f16_bits_to_f32, f32_to_f16_bits, quantize_row_i8, Precision, QuantizedGates};
 pub use stats::{Histogram, RunningStats};
 pub use vector::Vector;

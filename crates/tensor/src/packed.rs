@@ -25,7 +25,6 @@
 
 use crate::matrix::Matrix;
 use crate::vector::Vector;
-use std::cell::RefCell;
 
 /// Rows per packed panel (the register-blocking height of the kernels).
 pub const MR: usize = 8;
@@ -164,7 +163,22 @@ impl PackedMatrix {
 
 /// One panel's matrix-vector micro-kernel: `MR` rows at once, four phase
 /// accumulators per row in the reference association order.
+///
+/// Runs the AVX build when the CPU has it (`is_x86_feature_detected!`
+/// caches the CPUID probe) and the portable scalar build otherwise; the
+/// two are bit-identical (see [`panel_gemv_avx`]).
+#[allow(unsafe_code)]
 pub(crate) fn panel_gemv(panel: &[f32], cols: usize, x: &[f32]) -> [f32; MR] {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx") {
+        // SAFETY: only reachable when the CPU reports AVX.
+        return unsafe { panel_gemv_avx(panel, cols, x) };
+    }
+    panel_gemv_scalar(panel, cols, x)
+}
+
+/// The portable build of [`panel_gemv`].
+fn panel_gemv_scalar(panel: &[f32], cols: usize, x: &[f32]) -> [f32; MR] {
     let chunks = cols / 4;
     let mut acc = [[0.0f32; MR]; 4];
     for i in 0..chunks {
@@ -190,29 +204,73 @@ pub(crate) fn panel_gemv(panel: &[f32], cols: usize, x: &[f32]) -> [f32; MR] {
     sum
 }
 
-thread_local! {
-    /// Fallback scratch for the legacy no-scratch signature, reused
-    /// across calls so that path still never allocates once warm.
-    static GATHER_SCRATCH: RefCell<GatherScratch> =
-        const { RefCell::new(GatherScratch { panel: Vec::new() }) };
-}
-
-/// Reusable scratch for [`sgemv_masked_gather_into`]: the dense gather
-/// panel the active rows are transposed into.
+/// [`panel_gemv_scalar`] built for AVX: one 8-lane register per phase
+/// accumulator, explicit `vmulps` then `vaddps` only — the single-panel
+/// twin of the fused pair kernel.
 ///
-/// Owning one of these (e.g. inside a runtime workspace) lets callers
-/// thread an explicit buffer through the masked kernel instead of
-/// relying on the thread-local fallback — the buffer grows to the
-/// largest `MR * cols` seen and is then reused allocation-free.
-#[derive(Debug, Default)]
-pub struct GatherScratch {
-    pub(crate) panel: Vec<f32>,
+/// Bit-exactness: lane `r` of `acc[phase]` performs exactly the scalar
+/// kernel's `acc[phase][r] += col[r] * xv` (one rounding for the
+/// multiply, one for the add, same chunk order), the reduction is the
+/// same `((a0 + a1) + a2) + a3`, and the tail is the scalar loop. FMA is
+/// never emitted: it rounds once, not twice.
+///
+/// # Safety
+/// Caller must ensure the CPU supports AVX.
+#[allow(unsafe_code)]
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn panel_gemv_avx(panel: &[f32], cols: usize, x: &[f32]) -> [f32; MR] {
+    use core::arch::x86_64::*;
+    // Bounds-checked once here, so every unchecked load below is in range.
+    let panel = &panel[..MR * cols];
+    let x = &x[..cols];
+    let chunks = cols / 4;
+    let mut acc = [_mm256_setzero_ps(); 4];
+    for i in 0..chunks {
+        let base = i * 4 * MR;
+        for (phase, accp) in acc.iter_mut().enumerate() {
+            let xv = _mm256_broadcast_ss(&x[i * 4 + phase]);
+            let col = _mm256_loadu_ps(panel.as_ptr().add(base + phase * MR));
+            *accp = _mm256_add_ps(*accp, _mm256_mul_ps(col, xv));
+        }
+    }
+    let r = _mm256_add_ps(_mm256_add_ps(_mm256_add_ps(acc[0], acc[1]), acc[2]), acc[3]);
+    let mut sum = [0.0f32; MR];
+    _mm256_storeu_ps(sum.as_mut_ptr(), r);
+    for (k, &xv) in x.iter().enumerate().skip(chunks * 4) {
+        let col = &panel[k * MR..(k + 1) * MR];
+        for (s, &c) in sum.iter_mut().zip(col) {
+            *s += c * xv;
+        }
+    }
+    sum
 }
 
-impl GatherScratch {
-    /// Creates an empty scratch; the panel grows on first use.
-    pub fn new() -> Self {
-        Self::default()
+/// Row-masked product of one gate stored as `rows.div_ceil(MR)` panels,
+/// walking the panels instead of gathering live rows: a panel with no
+/// active row is filled with `skipped_value` without touching its
+/// weights; any other panel runs the dense micro-kernel
+/// (`panel_sum(p)` for panel `p` of the gate) and keeps only its active
+/// rows.
+///
+/// Every lane of a panel kernel accumulates on its own, independent of
+/// its position and of its neighbours, so each active row is
+/// bit-identical to the gathered result of [`sgemv_masked_gather`].
+pub(crate) fn masked_panels_into(
+    active: &[bool],
+    skipped_value: f32,
+    out: &mut [f32],
+    mut panel_sum: impl FnMut(usize) -> [f32; MR],
+) {
+    for (p, (lanes, rows)) in active.chunks(MR).zip(out.chunks_mut(MR)).enumerate() {
+        if !lanes.contains(&true) {
+            rows.fill(skipped_value);
+            continue;
+        }
+        let sum = panel_sum(p);
+        for ((o, &live), &s) in rows.iter_mut().zip(lanes).zip(&sum) {
+            *o = if live { s } else { skipped_value };
+        }
     }
 }
 
@@ -223,59 +281,23 @@ impl GatherScratch {
 ///
 /// Bit-identical to the reference masked kernel (each active row is the
 /// same dot product in the same association order), and to the dense
-/// kernels when every row is active.
-///
-/// This signature borrows a thread-local [`GatherScratch`]; use
-/// [`sgemv_masked_gather_into`] to supply your own scratch and output.
+/// kernels when every row is active. It is the reference the packed
+/// masked kernels, which walk panels instead of gathering, are tested
+/// against.
 ///
 /// # Panics
 /// Panics if `x.len() != a.cols()` or `active.len() != a.rows()`.
 pub fn sgemv_masked_gather(a: &Matrix, x: &Vector, active: &[bool], skipped_value: f32) -> Vector {
-    let mut y = Vector::zeros(a.rows());
-    GATHER_SCRATCH.with(|scratch| {
-        sgemv_masked_gather_into(
-            a,
-            x,
-            active,
-            skipped_value,
-            &mut scratch.borrow_mut(),
-            y.as_mut_slice(),
-        );
-    });
-    y
-}
-
-/// [`sgemv_masked_gather`] with a caller-owned scratch and output slice,
-/// for steady-state loops that must not touch the allocator (the scratch
-/// panel is grown once and reused; `out` is fully overwritten).
-///
-/// # Panics
-/// Panics if `x.len() != a.cols()`, `active.len() != a.rows()`, or
-/// `out.len() != a.rows()`.
-pub fn sgemv_masked_gather_into(
-    a: &Matrix,
-    x: &Vector,
-    active: &[bool],
-    skipped_value: f32,
-    scratch: &mut GatherScratch,
-    out: &mut [f32],
-) {
     assert_eq!(x.len(), a.cols(), "sgemv_masked_gather: x length mismatch");
     assert_eq!(
         active.len(),
         a.rows(),
         "sgemv_masked_gather: mask length mismatch"
     );
-    assert_eq!(
-        out.len(),
-        a.rows(),
-        "sgemv_masked_gather: out length mismatch"
-    );
+    let mut y = Vector::from(vec![skipped_value; a.rows()]);
+    let out = y.as_mut_slice();
     let cols = a.cols();
-    out.fill(skipped_value);
-    let panel = &mut scratch.panel;
-    panel.clear();
-    panel.resize(MR * cols, 0.0);
+    let mut panel = vec![0.0f32; MR * cols];
     let mut gathered: [usize; MR] = [0; MR];
     let mut rows: [&[f32]; MR] = [&[]; MR];
     let mut lanes = 0usize;
@@ -318,10 +340,11 @@ pub fn sgemv_masked_gather_into(
         gathered[lanes] = r;
         lanes += 1;
         if lanes == MR {
-            flush(panel, &gathered, &mut rows, &mut lanes);
+            flush(&mut panel, &gathered, &mut rows, &mut lanes);
         }
     }
-    flush(panel, &gathered, &mut rows, &mut lanes);
+    flush(&mut panel, &gathered, &mut rows, &mut lanes);
+    y
 }
 
 #[cfg(test)]
@@ -367,6 +390,35 @@ mod tests {
             let reference = sgemv(&a, &x);
             for (f, r) in fast.iter().zip(reference.iter()) {
                 assert_eq!(f.to_bits(), r.to_bits(), "{rows}x{cols} diverged");
+            }
+        }
+    }
+
+    /// The AVX single-panel kernel agrees with the scalar build to the
+    /// last bit for every `cols % 4` tail and for partial panels whose
+    /// dead lanes are zero padding (runs only where the CPU has AVX;
+    /// elsewhere the dispatch never picks it).
+    #[cfg(target_arch = "x86_64")]
+    #[allow(unsafe_code)]
+    #[test]
+    fn avx_panel_kernel_bit_identical_to_scalar() {
+        if !std::arch::is_x86_feature_detected!("avx") {
+            return;
+        }
+        for rows in [3usize, 8] {
+            for cols in [1usize, 2, 3, 4, 5, 6, 7, 16, 29, 64] {
+                let packed = PackedMatrix::pack(&pseudo_matrix(rows, cols, 41));
+                let x = pseudo_vector(cols, 13);
+                let scalar = panel_gemv_scalar(&packed.data, cols, x.as_slice());
+                // SAFETY: AVX support checked above.
+                let avx = unsafe { panel_gemv_avx(&packed.data, cols, x.as_slice()) };
+                for r in 0..MR {
+                    assert_eq!(
+                        avx[r].to_bits(),
+                        scalar[r].to_bits(),
+                        "{rows}x{cols} lane {r}"
+                    );
+                }
             }
         }
     }

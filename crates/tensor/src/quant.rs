@@ -18,7 +18,9 @@
 //!
 //! ## Bit-exactness contract
 //!
-//! Every kernel here replicates [`panel_gemv`]'s accumulation order —
+//! Every kernel here replicates the fp32 panel micro-kernel's
+//! accumulation order (the one behind
+//! [`FusedGates::gemv_into`](crate::FusedGates::gemv_into)) —
 //! the same `cols / 4` phase chunks, the same four per-lane accumulators,
 //! the same `((a0 + a1) + a2) + a3` reduction, the same sequential tail.
 //! The only change is that each weight element is dequantized as it is
@@ -28,10 +30,38 @@
 //! fp32 kernel run on the dequantized weights ([`Precision::apply`]),
 //! which makes determinism automatic and the quantization error a pure
 //! weight-perturbation bound, testable per row.
+//!
+//! ## SIMD builds
+//!
+//! The int8 kernel has an AVX2 build (8 codes widened with `vpmovsxbd`
+//! and `vcvtdq2ps`, times the lane scales, times the broadcast `x[k]`,
+//! then added) and the fp16 kernel an AVX+F16C build (`vcvtph2ps`, exact
+//! for every finite half). Each is chosen at run time by CPU feature
+//! detection, performs per lane exactly the scalar build's roundings in
+//! the scalar build's order (never FMA), and keeps the scalar build as
+//! the fallback.
+//!
+//! ## Masked products
+//!
+//! The DRS-masked kernels walk the gate's [`MR`]-row panels like
+//! [`FusedGates`](crate::FusedGates) does: a panel with no active row is
+//! never read, any other panel runs the dense dequant-on-load kernel and
+//! keeps its active rows. Nothing is gathered or dequantized row by row.
+//! The host thus skips work in whole 8-row panels, while `gpu-sim`
+//! prices the paper's per-row skipping; the two clocks count skipped
+//! work differently, and the outputs are the same bits either way.
 
 use crate::matrix::Matrix;
-use crate::packed::{panel_gemv, GatherScratch, MR};
+use crate::packed::{masked_panels_into, panel_gemv, MR};
 use crate::vector::Vector;
+use std::cell::RefCell;
+
+thread_local! {
+    /// One dequantized panel, reused by every column of a batched product;
+    /// it grows once to the largest `MR * cols` seen and is then reused
+    /// without touching the allocator.
+    static DEQUANT_PANEL: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
 
 /// Weight-storage precision of the packed gate matrices.
 ///
@@ -352,17 +382,6 @@ impl QuantizedGates {
         self.rows.div_ceil(MR)
     }
 
-    /// Dequantized weight element `(gate, row, col)` — exactly the value
-    /// every kernel here feeds its accumulators.
-    pub fn dequant(&self, g: usize, r: usize, k: usize) -> f32 {
-        let ppg = self.ppg();
-        let idx = g * ppg * MR * self.cols + (r / MR) * MR * self.cols + k * MR + (r % MR);
-        match &self.store {
-            QuantStore::F16(data) => f16_bits_to_f32(data[idx]),
-            QuantStore::I8 { q, scales } => q[idx] as f32 * scales[g * self.rows + r],
-        }
-    }
-
     /// The [`MR`] per-lane scales of global panel `q` (int8 only); dead
     /// lanes get 1.0 (their codes are 0, so the product stays 0).
     fn panel_scales(&self, scales: &[f32], panel: usize) -> [f32; MR] {
@@ -385,6 +404,30 @@ impl QuantizedGates {
             QuantStore::I8 { q: codes, scales } => {
                 let lane_scales = self.panel_scales(scales, q);
                 panel_gemv_i8(&codes[span], &lane_scales, self.cols, x)
+            }
+        }
+    }
+
+    /// Global panel `q` dequantized into `buf` in the fp32 panel layout:
+    /// exactly the values the dequant-on-load kernels feed their
+    /// accumulators (dead lanes 0).
+    fn dequant_panel_into(&self, q: usize, buf: &mut Vec<f32>) {
+        let span = q * MR * self.cols..(q + 1) * MR * self.cols;
+        buf.clear();
+        buf.resize(span.len(), 0.0);
+        match &self.store {
+            QuantStore::F16(data) => {
+                for (d, &h) in buf.iter_mut().zip(&data[span]) {
+                    *d = f16_bits_to_f32(h);
+                }
+            }
+            QuantStore::I8 { q: codes, scales } => {
+                let lane_scales = self.panel_scales(scales, q);
+                for (dst, col) in buf.chunks_exact_mut(MR).zip(codes[span].chunks_exact(MR)) {
+                    for ((d, &code), &scale) in dst.iter_mut().zip(col).zip(&lane_scales) {
+                        *d = code as f32 * scale;
+                    }
+                }
             }
         }
     }
@@ -447,6 +490,12 @@ impl QuantizedGates {
     /// streaming results through `write(column, row_start, values)` —
     /// the quantized twin of `FusedGates::gate_gemv_batch_with`.
     ///
+    /// Each panel is dequantized once and the fp32 micro-kernel runs it
+    /// for every column, which costs two vector operations per 8 weights
+    /// and column where dequantizing on load costs four. The fp32 kernel
+    /// on the dequantized panel is bit-identical to the dequant-on-load
+    /// kernel, so column `i` equals `self.gate_gemv_into(g, &xs[i], ..)`.
+    ///
     /// # Panics
     /// Panics if `g >= gates` or any `xs[i].len() != cols`.
     pub fn gate_gemv_batch_with(
@@ -467,13 +516,18 @@ impl QuantizedGates {
             );
         }
         let ppg = self.ppg();
+        // Taken rather than borrowed, so a `write` that re-enters this
+        // kernel finds an empty buffer instead of a held borrow.
+        let mut panel = DEQUANT_PANEL.take();
         for p in 0..ppg {
+            self.dequant_panel_into(g * ppg + p, &mut panel);
             let live = MR.min(self.rows - p * MR);
             for (i, x) in xs.iter().enumerate() {
-                let sum = self.panel_sum(g * ppg + p, x.as_slice());
+                let sum = panel_gemv(&panel, self.cols, x.as_slice());
                 write(i, p * MR, &sum[..live]);
             }
         }
+        DEQUANT_PANEL.set(panel);
     }
 
     /// Row-masked product of the first `ngates` gates under one shared
@@ -489,7 +543,6 @@ impl QuantizedGates {
         x: &Vector,
         active: &[bool],
         skipped_value: f32,
-        scratch: &mut GatherScratch,
         out: &mut [f32],
     ) {
         assert!(
@@ -504,15 +557,16 @@ impl QuantizedGates {
         );
         for g in 0..ngates {
             let section = &mut out[g * self.rows..(g + 1) * self.rows];
-            self.gate_gemv_masked_into(g, x, active, skipped_value, scratch, section);
+            self.gate_gemv_masked_into(g, x, active, skipped_value, section);
         }
     }
 
-    /// Row-masked product of one gate's matrix: active rows are
-    /// dequantized while being gathered into the scratch panel, then run
-    /// through the exact [`panel_gemv`] micro-kernel — the same grouping
-    /// and association as `FusedGates::gate_gemv_masked_into` on the
-    /// dequantized gate, so the sections are bit-identical to it.
+    /// Row-masked product of one gate's matrix, walking its panels like
+    /// `FusedGates::gate_gemv_masked_into`: a panel with no active row is
+    /// filled with `skipped_value` unread, any other panel runs the dense
+    /// dequant-on-load kernel and keeps its active rows. Bit-identical to
+    /// [`sgemv_masked_gather`](crate::sgemv_masked_gather) on the
+    /// [`Precision::apply`]-dequantized gate.
     ///
     /// # Panics
     /// Panics if `g >= gates`, `x.len() != cols`, `active.len() != rows`,
@@ -523,7 +577,6 @@ impl QuantizedGates {
         x: &Vector,
         active: &[bool],
         skipped_value: f32,
-        scratch: &mut GatherScratch,
         out: &mut [f32],
     ) {
         assert!(
@@ -545,51 +598,31 @@ impl QuantizedGates {
             self.rows,
             "QuantizedGates::gate_gemv_masked_into: out length"
         );
-        let cols = self.cols;
-        out.fill(skipped_value);
-        let panel = &mut scratch.panel;
-        panel.clear();
-        panel.resize(MR * cols, 0.0);
-        let mut gathered: [usize; MR] = [0; MR];
-        let mut lanes = 0usize;
-        let mut flush = |panel: &mut [f32], gathered: &[usize; MR], lanes: &mut usize| {
-            if *lanes == 0 {
-                return;
-            }
-            // Dequantize the active rows straight into the scratch
-            // panel (column index outermost, like the fp32 gather), so
-            // the exact micro-kernel below sees the same values the
-            // dense quantized kernels compute.
-            for (k, chunk) in panel.chunks_exact_mut(MR).enumerate() {
-                for (slot, &r) in chunk.iter_mut().zip(gathered.iter().take(*lanes)) {
-                    *slot = self.dequant(g, r, k);
-                }
-                chunk[*lanes..].fill(0.0);
-            }
-            let sum = panel_gemv(panel, cols, x.as_slice());
-            for (lane, &r) in gathered.iter().enumerate().take(*lanes) {
-                out[r] = sum[lane];
-            }
-            *lanes = 0;
-        };
-        for (r, &is_active) in active.iter().enumerate() {
-            if !is_active {
-                continue;
-            }
-            gathered[lanes] = r;
-            lanes += 1;
-            if lanes == MR {
-                flush(panel, &gathered, &mut lanes);
-            }
-        }
-        flush(panel, &gathered, &mut lanes);
+        let first = g * self.ppg();
+        masked_panels_into(active, skipped_value, out, |p| {
+            self.panel_sum(first + p, x.as_slice())
+        });
     }
 }
 
-/// [`panel_gemv`]'s accumulation order over an `f16`-stored panel: the
-/// conversion to `f32` is exact, so each `*a += c * xv` rounds exactly
-/// like the fp32 kernel on the dequantized panel.
+/// The fp32 panel kernel's accumulation order over an `f16`-stored
+/// panel: the conversion to `f32` is exact, so each `*a += c * xv`
+/// rounds exactly like the fp32 kernel on the dequantized panel.
+///
+/// Runs the AVX+F16C build when the CPU has both and the scalar build
+/// otherwise; the two are bit-identical for every finite weight.
+#[allow(unsafe_code)]
 fn panel_gemv_f16(panel: &[u16], cols: usize, x: &[f32]) -> [f32; MR] {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx") && std::arch::is_x86_feature_detected!("f16c") {
+        // SAFETY: only reachable when the CPU reports AVX and F16C.
+        return unsafe { panel_gemv_f16_f16c(panel, cols, x) };
+    }
+    panel_gemv_f16_scalar(panel, cols, x)
+}
+
+/// The portable build of [`panel_gemv_f16`].
+fn panel_gemv_f16_scalar(panel: &[u16], cols: usize, x: &[f32]) -> [f32; MR] {
     let chunks = cols / 4;
     let mut acc = [[0.0f32; MR]; 4];
     for i in 0..chunks {
@@ -615,12 +648,69 @@ fn panel_gemv_f16(panel: &[u16], cols: usize, x: &[f32]) -> [f32; MR] {
     sum
 }
 
-/// [`panel_gemv`]'s accumulation order over an int8-stored panel with
-/// per-lane scales: `q as f32` is exact for `|q| <= 127`, the scale
+/// [`panel_gemv_f16_scalar`] built for AVX+F16C: `vcvtph2ps` widens one
+/// panel column (8 halves) exactly, then `vmulps` and `vaddps` per phase
+/// accumulator, the same `((a0 + a1) + a2) + a3` reduction and the scalar
+/// tail. Never FMA.
+///
+/// # Safety
+/// Caller must ensure the CPU supports AVX and F16C.
+#[allow(unsafe_code)]
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx,f16c")]
+unsafe fn panel_gemv_f16_f16c(panel: &[u16], cols: usize, x: &[f32]) -> [f32; MR] {
+    use core::arch::x86_64::*;
+    // Bounds-checked once here, so every unchecked load below is in range.
+    let panel = &panel[..MR * cols];
+    let x = &x[..cols];
+    let chunks = cols / 4;
+    let mut acc = [_mm256_setzero_ps(); 4];
+    for i in 0..chunks {
+        let base = i * 4 * MR;
+        for (phase, accp) in acc.iter_mut().enumerate() {
+            let xv = _mm256_broadcast_ss(&x[i * 4 + phase]);
+            let halves = _mm_loadu_si128(panel.as_ptr().add(base + phase * MR).cast());
+            let col = _mm256_cvtph_ps(halves);
+            *accp = _mm256_add_ps(*accp, _mm256_mul_ps(col, xv));
+        }
+    }
+    let r = _mm256_add_ps(_mm256_add_ps(_mm256_add_ps(acc[0], acc[1]), acc[2]), acc[3]);
+    let mut sum = [0.0f32; MR];
+    _mm256_storeu_ps(sum.as_mut_ptr(), r);
+    for (k, &xv) in x.iter().enumerate().skip(chunks * 4) {
+        let col = &panel[k * MR..(k + 1) * MR];
+        for r in 0..MR {
+            sum[r] += f16_bits_to_f32(col[r]) * xv;
+        }
+    }
+    sum
+}
+
+/// The fp32 panel kernel's accumulation order over an int8-stored panel
+/// with per-lane scales: `q as f32` is exact for `|q| <= 127`, the scale
 /// multiply is the dequantization's single IEEE rounding, and the
 /// accumulation then matches the fp32 kernel on the dequantized panel
 /// bit for bit.
+///
+/// Runs the AVX2 build when the CPU has it and the scalar build
+/// otherwise; the two are bit-identical.
+#[allow(unsafe_code)]
 fn panel_gemv_i8(panel: &[i8], lane_scales: &[f32; MR], cols: usize, x: &[f32]) -> [f32; MR] {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: only reachable when the CPU reports AVX2.
+        return unsafe { panel_gemv_i8_avx2(panel, lane_scales, cols, x) };
+    }
+    panel_gemv_i8_scalar(panel, lane_scales, cols, x)
+}
+
+/// The portable build of [`panel_gemv_i8`].
+fn panel_gemv_i8_scalar(
+    panel: &[i8],
+    lane_scales: &[f32; MR],
+    cols: usize,
+    x: &[f32],
+) -> [f32; MR] {
     let chunks = cols / 4;
     let mut acc = [[0.0f32; MR]; 4];
     for i in 0..chunks {
@@ -637,6 +727,51 @@ fn panel_gemv_i8(panel: &[i8], lane_scales: &[f32; MR], cols: usize, x: &[f32]) 
     for r in 0..MR {
         sum[r] = ((acc[0][r] + acc[1][r]) + acc[2][r]) + acc[3][r];
     }
+    for (k, &xv) in x.iter().enumerate().skip(chunks * 4) {
+        let col = &panel[k * MR..(k + 1) * MR];
+        for r in 0..MR {
+            sum[r] += (col[r] as f32 * lane_scales[r]) * xv;
+        }
+    }
+    sum
+}
+
+/// [`panel_gemv_i8_scalar`] built for AVX2: 8 codes load with
+/// `_mm_loadl_epi64` and widen exactly (`vpmovsxbd`, then `vcvtdq2ps`);
+/// each lane then multiplies by its scale and by the broadcast `x[k]` and
+/// adds — the scalar kernel's `(code as f32 * scale) * xv` with the same
+/// two roundings, the same reduction and the scalar tail. Never FMA.
+///
+/// # Safety
+/// Caller must ensure the CPU supports AVX2.
+#[allow(unsafe_code)]
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn panel_gemv_i8_avx2(
+    panel: &[i8],
+    lane_scales: &[f32; MR],
+    cols: usize,
+    x: &[f32],
+) -> [f32; MR] {
+    use core::arch::x86_64::*;
+    // Bounds-checked once here, so every unchecked load below is in range.
+    let panel = &panel[..MR * cols];
+    let x = &x[..cols];
+    let scales = _mm256_loadu_ps(lane_scales.as_ptr());
+    let chunks = cols / 4;
+    let mut acc = [_mm256_setzero_ps(); 4];
+    for i in 0..chunks {
+        let base = i * 4 * MR;
+        for (phase, accp) in acc.iter_mut().enumerate() {
+            let xv = _mm256_broadcast_ss(&x[i * 4 + phase]);
+            let codes = _mm_loadl_epi64(panel.as_ptr().add(base + phase * MR).cast());
+            let w = _mm256_mul_ps(_mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(codes)), scales);
+            *accp = _mm256_add_ps(*accp, _mm256_mul_ps(w, xv));
+        }
+    }
+    let r = _mm256_add_ps(_mm256_add_ps(_mm256_add_ps(acc[0], acc[1]), acc[2]), acc[3]);
+    let mut sum = [0.0f32; MR];
+    _mm256_storeu_ps(sum.as_mut_ptr(), r);
     for (k, &xv) in x.iter().enumerate().skip(chunks * 4) {
         let col = &panel[k * MR..(k + 1) * MR];
         for r in 0..MR {
@@ -781,14 +916,12 @@ mod tests {
                 let shadow_refs: Vec<&Matrix> = shadow.iter().collect();
                 let exact = FusedGates::pack(&shadow_refs);
                 let x = pseudo_vector(cols, 5);
-                let mut s1 = GatherScratch::new();
-                let mut s2 = GatherScratch::new();
                 for skip_mod in [2usize, 3, 5] {
                     let active: Vec<bool> = (0..rows).map(|r| r % skip_mod != 0).collect();
                     let mut a = vec![0.0f32; 3 * rows];
                     let mut b = vec![0.0f32; 3 * rows];
-                    quant.gemv_masked_prefix_into(3, &x, &active, 0.0, &mut s1, &mut a);
-                    exact.gemv_masked_prefix_into(3, &x, &active, 0.0, &mut s2, &mut b);
+                    quant.gemv_masked_prefix_into(3, &x, &active, 0.0, &mut a);
+                    exact.gemv_masked_prefix_into(3, &x, &active, 0.0, &mut b);
                     for (i, (qa, qb)) in a.iter().zip(&b).enumerate() {
                         assert_eq!(
                             qa.to_bits(),
@@ -818,6 +951,125 @@ mod tests {
                     quant.gate_gemv_into(g, x.as_slice(), &mut single);
                     assert_eq!(*got, single);
                 }
+            }
+        }
+    }
+
+    /// An int8 panel with `live` lanes of codes that hit ±127 and 0 and
+    /// zero-coded dead lanes, plus its lane scales (dead lanes 1.0, as
+    /// `panel_scales` sets them).
+    fn i8_panel(cols: usize, live: usize, seed: u32) -> (Vec<i8>, [f32; MR]) {
+        let mut panel = vec![0i8; MR * cols];
+        for k in 0..cols {
+            for lane in 0..live {
+                let h = (k as u32 * 131 + lane as u32 * 29 + seed).wrapping_mul(2654435761) >> 7;
+                panel[k * MR + lane] = match h % 5 {
+                    0 => 127,
+                    1 => -127,
+                    2 => 0,
+                    _ => (((h >> 3) % 255) as i32 - 127) as i8,
+                };
+            }
+        }
+        let mut scales = [1.0f32; MR];
+        for (lane, s) in scales.iter_mut().enumerate().take(live) {
+            *s = 0.0173 * (lane as f32 + 1.0) / 127.0;
+        }
+        (panel, scales)
+    }
+
+    /// The AVX2 int8 kernel agrees with the scalar build to the last bit
+    /// for every `cols % 4` tail, with dead lanes and extreme codes.
+    #[cfg(target_arch = "x86_64")]
+    #[allow(unsafe_code)]
+    #[test]
+    fn avx2_i8_kernel_bit_identical_to_scalar() {
+        if !std::arch::is_x86_feature_detected!("avx2") {
+            return;
+        }
+        for live in [3usize, MR] {
+            for cols in [1usize, 2, 3, 4, 5, 6, 7, 16, 29, 64] {
+                let (panel, scales) = i8_panel(cols, live, 7);
+                let x = pseudo_vector(cols, 19);
+                let scalar = panel_gemv_i8_scalar(&panel, &scales, cols, x.as_slice());
+                // SAFETY: AVX2 support checked above.
+                let avx = unsafe { panel_gemv_i8_avx2(&panel, &scales, cols, x.as_slice()) };
+                for r in 0..MR {
+                    assert_eq!(
+                        avx[r].to_bits(),
+                        scalar[r].to_bits(),
+                        "{live} live x {cols} cols lane {r}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The F16C fp16 kernel agrees with the scalar build to the last bit,
+    /// with dead lanes and subnormal, zero and near-overflow halves.
+    #[cfg(target_arch = "x86_64")]
+    #[allow(unsafe_code)]
+    #[test]
+    fn f16c_kernel_bit_identical_to_scalar() {
+        if !(std::arch::is_x86_feature_detected!("avx")
+            && std::arch::is_x86_feature_detected!("f16c"))
+        {
+            return;
+        }
+        let specials = [0x0001u16, 0x83ff, 0x0000, 0x8000, 0x7bff, 0xfbff, 0x0400];
+        for live in [3usize, MR] {
+            for cols in [1usize, 2, 3, 4, 5, 6, 7, 16, 29, 64] {
+                let m = pseudo_matrix(MR, cols, 5);
+                let mut panel = vec![0u16; MR * cols];
+                for k in 0..cols {
+                    for lane in 0..live {
+                        let i = k * MR + lane;
+                        panel[i] = if i.is_multiple_of(3) {
+                            specials[i / 3 % specials.len()]
+                        } else {
+                            f32_to_f16_bits(m.row(lane)[k])
+                        };
+                    }
+                }
+                let x = pseudo_vector(cols, 23);
+                let scalar = panel_gemv_f16_scalar(&panel, cols, x.as_slice());
+                // SAFETY: AVX and F16C support checked above.
+                let simd = unsafe { panel_gemv_f16_f16c(&panel, cols, x.as_slice()) };
+                for r in 0..MR {
+                    assert_eq!(
+                        simd[r].to_bits(),
+                        scalar[r].to_bits(),
+                        "{live} live x {cols} cols lane {r}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// `vcvtph2ps` equals the software conversion for every finite half
+    /// bit pattern, subnormals and both zeros included.
+    #[cfg(target_arch = "x86_64")]
+    #[allow(unsafe_code)]
+    #[test]
+    fn vcvtph2ps_matches_software_conversion_for_every_finite_half() {
+        use core::arch::x86_64::{_mm256_cvtph_ps, _mm256_storeu_ps, _mm_loadu_si128};
+        if !(std::arch::is_x86_feature_detected!("avx")
+            && std::arch::is_x86_feature_detected!("f16c"))
+        {
+            return;
+        }
+        let finite: Vec<u16> = (0..=u16::MAX).filter(|h| h & 0x7c00 != 0x7c00).collect();
+        assert_eq!(finite.len(), 2 * 31 * 1024);
+        for chunk in finite.chunks_exact(8) {
+            let mut wide = [0.0f32; 8];
+            // SAFETY: AVX and F16C support checked above; `chunk` holds
+            // exactly the 8 halves one load reads.
+            unsafe {
+                let halves = _mm_loadu_si128(chunk.as_ptr().cast());
+                _mm256_storeu_ps(wide.as_mut_ptr(), _mm256_cvtph_ps(halves));
+            }
+            for (&h, w) in chunk.iter().zip(wide) {
+                assert_eq!(w.to_bits(), f16_bits_to_f32(h).to_bits(), "half {h:#06x}");
             }
         }
     }

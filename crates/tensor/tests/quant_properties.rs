@@ -8,11 +8,15 @@
 //! (b) a max-abs-error bound vs the fp32 fused path over random gate
 //!     matrices, derived from the per-element quantization step;
 //! (c) int8 round-trip of representable values (exact multiples of a
-//!     power-of-two scale survive quantize → dequant bit-for-bit).
+//!     power-of-two scale survive quantize → dequant bit-for-bit);
+//! (d) the live-panel masked kernels at every tier equal the row-gather
+//!     reference on the (dequantized) gate matrices, bit for bit, under
+//!     masks that kill, keep or split 8-row panels.
 
 use proptest::prelude::*;
+use tensor::packed::MR;
 use tensor::quant::{f16_bits_to_f32, f32_to_f16_bits, quantize_row_i8};
-use tensor::{FusedGates, GatherScratch, Matrix, Precision, QuantizedGates, Vector};
+use tensor::{sgemv_masked_gather, FusedGates, Matrix, Precision, QuantizedGates, Vector};
 
 fn finite_f32() -> impl Strategy<Value = f32> {
     (-100i32..=100).prop_map(|x| x as f32 / 10.0)
@@ -38,6 +42,45 @@ fn precision() -> impl Strategy<Value = Precision> {
         } else {
             Precision::Int8
         }
+    })
+}
+
+/// A row mask over `rows` rows in one of the shapes the panel walk must
+/// get right: all dead, all live, one live row per [`MR`]-row panel, only
+/// the last (possibly partial) panel live, or a random density 0–100%.
+fn panel_mask(rows: usize) -> impl Strategy<Value = Vec<bool>> {
+    (
+        0u8..5,
+        0u32..=100,
+        proptest::collection::vec(0u32..100, rows),
+    )
+        .prop_map(move |(kind, density, draws)| {
+            let last = (rows - 1) / MR * MR;
+            (0..rows)
+                .map(|r| {
+                    let p0 = r / MR * MR;
+                    match kind {
+                        0 => false,
+                        1 => true,
+                        2 => r - p0 == draws[p0] as usize % MR.min(rows - p0),
+                        3 => r >= last,
+                        _ => draws[r] < density,
+                    }
+                })
+                .collect()
+        })
+}
+
+/// Three gates of a random shape (rows straddling panel boundaries),
+/// an input, a panel-shaped mask and any tier, fp32 included.
+fn masked_case() -> impl Strategy<Value = (Vec<Matrix>, Vector, Vec<bool>, Precision)> {
+    (1usize..=27, 1usize..=13).prop_flat_map(|(rows, cols)| {
+        (
+            proptest::collection::vec(matrix(rows, cols), 3),
+            vector(cols),
+            panel_mask(rows),
+            (0usize..3).prop_map(|i| Precision::ALL[i]),
+        )
     })
 }
 
@@ -90,14 +133,37 @@ proptest! {
         let shadow: Vec<Matrix> = mats.iter().map(|m| p.apply(m)).collect();
         let shadow_refs: Vec<&Matrix> = shadow.iter().collect();
         let exact = FusedGates::pack(&shadow_refs);
-        let mut s1 = GatherScratch::new();
-        let mut s2 = GatherScratch::new();
         let mut a = vec![0.0f32; 3 * 10];
         let mut b = vec![0.0f32; 3 * 10];
-        quant.gemv_masked_prefix_into(3, &x, &mask, 0.0, &mut s1, &mut a);
-        exact.gemv_masked_prefix_into(3, &x, &mask, 0.0, &mut s2, &mut b);
+        quant.gemv_masked_prefix_into(3, &x, &mask, 0.0, &mut a);
+        exact.gemv_masked_prefix_into(3, &x, &mask, 0.0, &mut b);
         for (qa, qb) in a.iter().zip(&b) {
             prop_assert_eq!(qa.to_bits(), qb.to_bits());
+        }
+    }
+
+    /// (d) The live-panel masked kernels equal the row-gather reference
+    /// bitwise at every tier: fp32 against the gate matrices, fp16 and
+    /// int8 against their `Precision::apply`-dequantized shadows.
+    #[test]
+    fn live_panel_masked_gemv_matches_gather_reference(
+        (mats, x, mask, p) in masked_case(),
+    ) {
+        let rows = mats[0].rows();
+        let refs: Vec<&Matrix> = mats.iter().collect();
+        let mut got = vec![f32::NAN; 3 * rows];
+        match p {
+            Precision::Fp32 => {
+                FusedGates::pack(&refs).gemv_masked_prefix_into(3, &x, &mask, -3.5, &mut got)
+            }
+            _ => QuantizedGates::pack(&refs, p)
+                .gemv_masked_prefix_into(3, &x, &mask, -3.5, &mut got),
+        }
+        for (g, m) in mats.iter().enumerate() {
+            let want = sgemv_masked_gather(&p.apply(m), &x, &mask, -3.5);
+            for (r, (a, b)) in got[g * rows..(g + 1) * rows].iter().zip(want.iter()).enumerate() {
+                prop_assert_eq!(a.to_bits(), b.to_bits(), "{} gate {} row {}", p, g, r);
+            }
         }
     }
 
